@@ -38,6 +38,17 @@ void BM_Crc24(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc24)->Arg(10)->Arg(27)->Arg(255);
 
+// The bit-serial reference LFSR the table-driven crc24 replaced: the rung
+// that shows what the table buys.
+void BM_Crc24Bitwise(benchmark::State& state) {
+    Bytes pdu(static_cast<std::size_t>(state.range(0)), 0x5A);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(phy::crc24_bitwise(pdu, 0x555555));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc24Bitwise)->Arg(10)->Arg(27)->Arg(255);
+
 void BM_Crc24Reverse(benchmark::State& state) {
     Bytes pdu(27, 0x5A);
     const std::uint32_t crc = phy::crc24(pdu, 0x123456);

@@ -41,13 +41,6 @@ AttackSession::AttackSession(AttackerRadio& radio, SniffedConnection target, Par
 
 AttackSession::~AttackSession() { stop(); }
 
-sim::EventId AttackSession::guarded_at(TimePoint t, std::function<void()> fn) {
-    return radio_.scheduler().schedule_at(
-        t, [alive = std::weak_ptr<char>(alive_), fn = std::move(fn)] {
-            if (alive.lock()) fn();
-        });
-}
-
 void AttackSession::start() {
     running_ = true;
     radio_.rx_handler = [this](const sim::RxFrame& frame) { handle_rx(frame); };

@@ -227,7 +227,15 @@ private:
     InjectionObservation observation_;
     bool awaiting_response_ = false;
 
-    ble::sim::EventId guarded_at(ble::TimePoint t, std::function<void()> fn);
+    /// Schedules `fn` unless this session is gone by then (see
+    /// Connection::guarded_at; a template for the same inline-capture reason).
+    template <typename F>
+    ble::sim::EventId guarded_at(ble::TimePoint t, F&& fn) {
+        return radio_.scheduler().schedule_at(
+            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
+                if (!alive.expired()) fn();
+            });
+    }
 };
 
 }  // namespace injectable

@@ -58,17 +58,6 @@ Connection::~Connection() {
     if (timer_ != sim::kInvalidEvent) radio_.scheduler().cancel(timer_);
 }
 
-sim::EventId Connection::guarded_at(TimePoint t, std::function<void()> fn) {
-    return radio_.scheduler().schedule_at(
-        t, [alive = std::weak_ptr<char>(alive_), fn = std::move(fn)] {
-            if (alive.lock()) fn();
-        });
-}
-
-sim::EventId Connection::guarded_after(Duration d, std::function<void()> fn) {
-    return guarded_at(radio_.scheduler().now() + d, std::move(fn));
-}
-
 Duration Connection::max_frame_air_time() const noexcept {
     const std::size_t mic = (encrypted_ && crypto_) ? crypto_->mic_size() : 0;
     // Whole frame on LE 1M: preamble + AA + header + payload + MIC + CRC.

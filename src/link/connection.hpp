@@ -205,8 +205,19 @@ private:
     /// Schedules `fn` but silently drops it if this Connection has been
     /// destroyed or closed by then — every internal timer goes through these,
     /// so tearing down a device mid-event can never fire a dangling callback.
-    sim::EventId guarded_at(TimePoint t, std::function<void()> fn);
-    sim::EventId guarded_after(Duration d, std::function<void()> fn);
+    /// Templates, so the guard wraps the caller's lambda directly and the
+    /// whole capture fits the scheduler's inline callback storage.
+    template <typename F>
+    sim::EventId guarded_at(TimePoint t, F&& fn) {
+        return radio_.scheduler().schedule_at(
+            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
+                if (!alive.expired()) fn();
+            });
+    }
+    template <typename F>
+    sim::EventId guarded_after(Duration d, F&& fn) {
+        return guarded_at(radio_.scheduler().now() + d, std::forward<F>(fn));
+    }
 
     sim::RadioDevice& radio_;
     ConnectionConfig config_;

@@ -1,5 +1,7 @@
 #include "phy/crc.hpp"
 
+#include <array>
+
 namespace ble::phy {
 
 namespace {
@@ -8,9 +10,35 @@ namespace {
 // over-the-air captures by those projects).
 constexpr std::uint32_t kLfsrMask = 0x5A6000;
 constexpr std::uint32_t k24Bits = 0xFFFFFF;
+
+// Within one byte the LFSR only ever consumes the low eight state bits (the
+// feedback taps sit at bit 13 and above, so nothing they set can reach bit
+// 0 before the byte ends), and the step is linear.  A byte therefore folds
+// in as state' = (state >> 8) ^ T[(state ^ byte) & 0xFF], where T[i] is the
+// state after eight steps from state i with zero input.
+constexpr std::array<std::uint32_t, 256> make_table() noexcept {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t state = i;
+        for (int bit = 0; bit < 8; ++bit) {
+            const std::uint32_t next = state & 1;
+            state >>= 1;
+            if (next != 0) state ^= (1u << 23) | kLfsrMask;
+        }
+        table[i] = state;
+    }
+    return table;
+}
+constexpr std::array<std::uint32_t, 256> kTable = make_table();
 }  // namespace
 
 std::uint32_t crc24(BytesView pdu, std::uint32_t init) noexcept {
+    std::uint32_t state = init & k24Bits;
+    for (std::uint8_t byte : pdu) state = (state >> 8) ^ kTable[(state ^ byte) & 0xFF];
+    return state;
+}
+
+std::uint32_t crc24_bitwise(BytesView pdu, std::uint32_t init) noexcept {
     std::uint32_t state = init & k24Bits;
     for (std::uint8_t byte : pdu) {
         std::uint8_t cur = byte;

@@ -3,6 +3,10 @@
 // seeded with CRCInit (0x555555 on advertising channels; the value from
 // CONNECT_REQ on data channels), processing PDU bits LSB-first.
 //
+// `crc24` folds one byte per step through a 256-entry table; `crc24_bitwise`
+// is the one-bit-per-step LFSR it was derived from, kept as the reference
+// the table is tested against.
+//
 // `crc24_reverse` runs the LFSR *backwards* from an observed CRC through the
 // PDU: this is Mike Ryan's trick for recovering the CRCInit of an already
 // established connection from a single sniffed packet, which the InjectaBLE
@@ -17,6 +21,9 @@ namespace ble::phy {
 
 /// 24-bit CRC over `pdu`, starting from `init` (24-bit state).
 [[nodiscard]] std::uint32_t crc24(BytesView pdu, std::uint32_t init) noexcept;
+
+/// Reference bit-serial LFSR; same result as crc24, eight times the steps.
+[[nodiscard]] std::uint32_t crc24_bitwise(BytesView pdu, std::uint32_t init) noexcept;
 
 /// Inverse: the `init` value such that crc24(pdu, init) == crc.
 [[nodiscard]] std::uint32_t crc24_reverse(BytesView pdu, std::uint32_t crc) noexcept;

@@ -92,8 +92,9 @@ void RadioMedium::stop_listening(RadioDevice& device) noexcept {
 }
 
 double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) {
-    auto it = tx.rx_power_dbm.find(&receiver);
-    if (it != tx.rx_power_dbm.end()) return it->second;
+    for (const RxPower& memo : tx.rx_power_dbm) {
+        if (memo.receiver == &receiver) return memo.dbm;
+    }
     // One fading draw per (frame, receiver): channel hopping decorrelates
     // consecutive frames, so each frame sees a fresh fade.
     const double loss =
@@ -101,7 +102,7 @@ double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) 
             ? 200.0
             : path_loss_.sample_loss_db(tx.sender->position(), receiver.position(), rng_);
     const double power = (tx.sender ? tx.sender->tx_power_dbm() : 0.0) - loss;
-    tx.rx_power_dbm.emplace(&receiver, power);
+    tx.rx_power_dbm.push_back(RxPower{&receiver, power});
     return power;
 }
 
@@ -114,16 +115,13 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     device.transmitting_ = true;
 
     const std::uint64_t id = next_tx_id_++;
-    Transmission tx;
-    tx.id = id;
-    tx.sender = &device;
-    tx.channel = channel;
-    tx.start = scheduler_.now();
-    tx.end = tx.start + frame.duration();
-    tx.frame = std::move(frame);
-
-    auto [it, inserted] = active_.emplace(id, std::move(tx));
-    Transmission& stored = it->second;
+    Transmission& stored = active_.try_emplace(id).first->second;
+    stored.id = id;
+    stored.sender = &device;
+    stored.channel = channel;
+    stored.start = scheduler_.now();
+    stored.end = stored.start + frame.duration();
+    stored.frame = std::move(frame);
     // Ids are monotonic, so appending keeps the per-channel view id-ordered.
     channel_active_[channel].push_back(&stored);
 
@@ -211,7 +209,7 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
         const Transmission* tx;
         double power_mw;
     };
-    std::vector<Interferer> interferers;
+    InlineVec<Interferer, 8> interferers;
     if (params_.legacy_full_scan) {
         for (auto& [other_id, other] : active_) {
             if (other_id == tx.id || other.channel != tx.channel) continue;
@@ -230,25 +228,38 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
         }
     }
 
+    // A byte no interferer overlaps sees the noise floor alone at the
+    // neutral phase: the same SIR and the same probability for every such
+    // byte of this delivery, so it is computed once.  Each byte still draws
+    // its own uniform, which keeps the RNG stream of the per-byte model.
+    const double p_noise_only =
+        capture_.byte_corruption_prob(signal_dbm - mw_to_dbm(noise_mw), 0.5);
+
     Bytes bytes = pool_.acquire_copy(tx.frame.bytes);
     bool corrupted = false;
     int corrupted_bytes = 0;
     int sync_bit_errors = 0;
     for (std::size_t i = 0; i < bytes.size(); ++i) {
-        const TimePoint byte_start =
-            tx.start + tx.frame.preamble_time + static_cast<Duration>(i) * tx.frame.byte_time;
-        const TimePoint byte_end = byte_start + tx.frame.byte_time;
-
-        double interference_mw = noise_mw;
-        double phase = 0.5;  // neutral when only noise is present
-        for (const auto& intf : interferers) {
-            if (intf.tx->start < byte_end && intf.tx->end > byte_start) {
-                interference_mw += intf.power_mw;
-                phase = rng_.next_double();  // per-byte carrier-phase lottery
+        double p_corrupt = p_noise_only;
+        if (!interferers.empty()) {
+            const TimePoint byte_start = tx.start + tx.frame.preamble_time +
+                                         static_cast<Duration>(i) * tx.frame.byte_time;
+            const TimePoint byte_end = byte_start + tx.frame.byte_time;
+            double interference_mw = noise_mw;
+            double phase = 0.5;  // neutral when only noise is present
+            bool overlapped = false;
+            for (const auto& intf : interferers) {
+                if (intf.tx->start < byte_end && intf.tx->end > byte_start) {
+                    interference_mw += intf.power_mw;
+                    phase = rng_.next_double();  // per-byte carrier-phase lottery
+                    overlapped = true;
+                }
+            }
+            if (overlapped) {
+                const double sir_db = signal_dbm - mw_to_dbm(interference_mw);
+                p_corrupt = capture_.byte_corruption_prob(sir_db, phase);
             }
         }
-        const double sir_db = signal_dbm - mw_to_dbm(interference_mw);
-        const double p_corrupt = capture_.byte_corruption_prob(sir_db, phase);
         if (rng_.chance(p_corrupt)) {
             // Flip a random bit: the CRC then fails naturally downstream.
             bytes[i] ^= static_cast<std::uint8_t>(1u << rng_.next_below(8));
@@ -338,7 +349,7 @@ void RadioMedium::finish_transmission(std::uint64_t tx_id) {
     // never leak into it (the PR 3 regression).  A locked receiver is by
     // invariant still a member of this channel's interest list (locks are
     // cleared on any retune/stop), so the filtered walks agree.
-    std::vector<RadioDevice*> locked;
+    InlineVec<RadioDevice*, 8> locked;
     if (params_.legacy_full_scan) {
         for (RadioDevice* device : devices_) {
             const ListenState& state = device->listen_state_;

@@ -21,7 +21,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -160,6 +159,12 @@ public:
     void add_tx_observer(TxObserver observer);
 
 private:
+    struct RxPower {
+        const RadioDevice* receiver;
+        double dbm;
+    };
+
+    /// Built in place in `active_` (the inline memo is not movable).
     struct Transmission {
         std::uint64_t id = 0;
         RadioDevice* sender = nullptr;
@@ -167,9 +172,10 @@ private:
         TimePoint start = 0;
         TimePoint end = 0;
         AirFrame frame;
-        /// Memoized received power per receiver (one fading draw per pair).
-        /// injectable-lint: allow(D1) -- lookup-only memo (find/emplace, never iterated): heap-address order cannot reach RNG draws or events
-        std::unordered_map<const RadioDevice*, double> rx_power_dbm;
+        /// Memoized received power per receiver (one fading draw per pair),
+        /// searched linearly: a frame is heard by a handful of receivers, so
+        /// the first four pairs live inline and a crowded channel spills once.
+        InlineVec<RxPower, 4> rx_power_dbm;
     };
 
     double rx_power_dbm(Transmission& tx, const RadioDevice& receiver);

@@ -56,7 +56,7 @@ public:
     /// Schedule on this device's *local* clock: the real delay is `local_delay`
     /// distorted by the sleep clock's current drift. This is how every LL
     /// timer (connection events, transmit windows) is armed.
-    EventId schedule_local(Duration local_delay, std::function<void()> fn);
+    EventId schedule_local(Duration local_delay, EventCallback fn);
 
 private:
     friend class RadioMedium;

@@ -14,7 +14,7 @@ namespace {
 /// sampled as a prof gauge.  All of it compiles down to a thread-local null
 /// test when no profiler is installed.
 inline void dispatch_profiled(TimePoint prev, TimePoint fire, std::size_t pending,
-                              const std::function<void()>& fn) {
+                              EventCallback& fn) {
     obs::prof::set_sim_now(fire);
     static thread_local obs::prof::SpanSite dispatch_site{"sim.dispatch"};
     static thread_local obs::prof::GaugeSite depth_site{"sim.sched.queue_depth"};
@@ -40,6 +40,27 @@ void Scheduler::destroy(EventNode* node) noexcept {
     pool_.deallocate(node, sizeof(EventNode));
 }
 
+std::uint32_t Scheduler::acquire_handle() {
+    if (free_handle_ != 0) {
+        const std::uint32_t index = free_handle_ - 1;
+        free_handle_ = handles_[index].next_free;
+        return index;
+    }
+    // One block covers a sparse world's peak; crowded worlds double from it.
+    if (handles_.capacity() == 0) handles_.reserve(64);
+    handles_.emplace_back();
+    return static_cast<std::uint32_t>(handles_.size() - 1);
+}
+
+void Scheduler::release_handle(std::uint32_t index) noexcept {
+    Handle& handle = handles_[index];
+    handle.node = nullptr;
+    ++handle.generation;  // every id naming the old occupant goes stale
+    handle.next_free = free_handle_;
+    free_handle_ = index + 1;
+    --live_;
+}
+
 void Scheduler::unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexcept {
     if (node->prev != nullptr) {
         node->prev->next = node->next;
@@ -54,14 +75,16 @@ void Scheduler::unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexce
     if (bucket.head == nullptr) mark_empty(slot);
 }
 
-EventId Scheduler::schedule_at(TimePoint t, std::function<void()> fn) {
+EventId Scheduler::schedule_at(TimePoint t, EventCallback fn) {
     if (t < now_) t = now_;
-    const EventId id = next_id_++;
+    const std::uint32_t handle = acquire_handle();
     const std::size_t slot = static_cast<std::size_t>(window_of(t)) & kBucketMask;
     Bucket& bucket = buckets_[slot];
-    auto* node =
-        new (pool_.allocate(sizeof(EventNode))) EventNode{Key{t, id}, nullptr, nullptr, std::move(fn)};
-    // Ids are monotonic and simulations schedule forward, so the new key
+    auto* node = new (pool_.allocate(sizeof(EventNode)))
+        EventNode{Key{t, next_seq_++}, nullptr, nullptr, handle, std::move(fn)};
+    handles_[handle].node = node;
+    ++live_;
+    // Sequences are monotonic and simulations schedule forward, so the new key
     // almost always sorts after everything already in its bucket: walk
     // backward from the tail, which terminates immediately in the hot case.
     EventNode* after = bucket.tail;
@@ -85,22 +108,23 @@ EventId Scheduler::schedule_at(TimePoint t, std::function<void()> fn) {
         }
         after->next = node;
     }
-    index_.emplace(id, node);
-    return id;
+    return (static_cast<EventId>(handles_[handle].generation) << 32) | (EventId{handle} + 1);
 }
 
 void Scheduler::cancel(EventId id) noexcept {
-    const auto found = index_.find(id);
-    if (found == index_.end()) return;
-    EventNode* node = found->second;
+    const std::uint64_t index = (id & 0xFFFFFFFFu) - 1;  // kInvalidEvent wraps to the max
+    if (index >= handles_.size()) return;
+    const Handle& handle = handles_[index];
+    if (handle.node == nullptr || handle.generation != (id >> 32)) return;  // fired or reused
+    EventNode* node = handle.node;
     const std::size_t slot = static_cast<std::size_t>(window_of(node->key.t)) & kBucketMask;
     unlink(buckets_[slot], node, slot);
+    release_handle(node->handle);
     destroy(node);  // slot returns to the arena
-    index_.erase(found);
 }
 
 bool Scheduler::find_next(std::int64_t& window, Bucket** bucket) noexcept {
-    if (index_.empty()) return false;
+    if (live_ == 0) return false;
     // Walk the *occupied* slots in circular order from the cursor, skipping
     // empty windows wholesale via the bitmap.  Within one lap, circular slot
     // distance is window order, so the first slot whose earliest entry
@@ -143,18 +167,17 @@ bool Scheduler::find_next(std::int64_t& window, Bucket** bucket) noexcept {
 void Scheduler::fire(Bucket& bucket) {
     EventNode* node = bucket.head;
     const TimePoint t = node->key.t;
-    const EventId id = node->key.id;
     // The callback is moved out before the node dies so an event
     // rescheduling itself (or churning the arena) can never touch the
     // running functor.
-    std::function<void()> fn = std::move(node->fn);
+    EventCallback fn = std::move(node->fn);
     unlink(bucket, node, static_cast<std::size_t>(window_of(t)) & kBucketMask);
+    release_handle(node->handle);
     destroy(node);
-    index_.erase(id);
     const TimePoint prev = now_;
     now_ = t;
     cursor_ = window_of(now_);
-    dispatch_profiled(prev, now_, index_.size(), fn);
+    dispatch_profiled(prev, now_, live_, fn);
 }
 
 bool Scheduler::run_one() {

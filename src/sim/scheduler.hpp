@@ -11,24 +11,34 @@
 // chunk arena whose free slots are recycled in place, so steady-state
 // schedule/cancel churn — and the first burst of a freshly built world —
 // performs one heap allocation per *chunk* of events, not per event.
+// Callbacks live inside the node (InlineFunction, 64 bytes inline), and an
+// EventId names a slot of a generation-indexed handle table, so neither
+// scheduling nor cancelling touches the allocator once the world is warm.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <vector>
 
+#include "common/inline_function.hpp"
 #include "common/time.hpp"
 
 namespace ble::sim {
 
+/// Names one scheduled event for cancel(): the low 32 bits hold its handle
+/// slot + 1 and the high 32 bits that slot's generation, which advances
+/// every time the slot is released.  An id whose event fired or was
+/// cancelled therefore never matches again, even after the slot is reused.
+/// Ids carry no ordering; firing order is the scheduler's (time, sequence).
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
+
+/// The scheduler's callback type: move-only, stored inline in the event node.
+using EventCallback = InlineFunction<void()>;
 
 /// Fixed-size-slot arena feeding the calendar buckets' map nodes.  Slots are
 /// carved out of chunks (one malloc per kChunkSlots events) and recycled
@@ -102,17 +112,18 @@ public:
     /// Schedules `fn` at absolute time `t` (clamped to `now()` if in the past).
     /// The returned EventId is the only way to cancel the event; discarding it
     /// (fire-and-forget) needs an audited allow(D4) lint suppression.
-    [[nodiscard]] EventId schedule_at(TimePoint t, std::function<void()> fn);
-    [[nodiscard]] EventId schedule_after(Duration d, std::function<void()> fn) {
+    [[nodiscard]] EventId schedule_at(TimePoint t, EventCallback fn);
+    [[nodiscard]] EventId schedule_after(Duration d, EventCallback fn) {
         return schedule_at(now_ + d, std::move(fn));
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or invalid id is a
-    /// harmless no-op (devices routinely cancel their timeout guards).
+    /// Cancels a pending event. Cancelling an already-fired, already-cancelled
+    /// or invalid id is a harmless no-op (devices routinely cancel their
+    /// timeout guards).
     void cancel(EventId id) noexcept;
 
-    [[nodiscard]] bool empty() const noexcept { return index_.empty(); }
-    [[nodiscard]] std::size_t pending() const noexcept { return index_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+    [[nodiscard]] std::size_t pending() const noexcept { return live_; }
 
     /// Live entries actually stored in the calendar buckets.  Always equals
     /// pending(): cancels erase their node instead of tombstoning it, which
@@ -142,11 +153,12 @@ private:
     static constexpr std::size_t kNumBuckets = 256;
     static constexpr std::size_t kBucketMask = kNumBuckets - 1;
 
+    /// Firing order: time, then the monotonic insertion sequence.
     struct Key {
         TimePoint t;
-        EventId id;
+        std::uint64_t seq;
         bool operator<(const Key& other) const noexcept {
-            return t != other.t ? t < other.t : id < other.id;
+            return t != other.t ? t < other.t : seq < other.seq;
         }
     };
 
@@ -156,7 +168,16 @@ private:
         Key key;
         EventNode* prev = nullptr;
         EventNode* next = nullptr;
-        std::function<void()> fn;
+        std::uint32_t handle = 0;  ///< index into handles_
+        EventCallback fn;
+    };
+
+    /// One cancel-handle slot.  `node` is null while the slot is free; a free
+    /// slot links to the next one through `next_free` (index + 1, 0 = end).
+    struct Handle {
+        EventNode* node = nullptr;
+        std::uint32_t generation = 0;
+        std::uint32_t next_free = 0;
     };
 
     /// A calendar bucket: sorted by Key, smallest at head.  Trivially
@@ -188,9 +209,12 @@ private:
     void fire(Bucket& bucket);
     void unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexcept;
     void destroy(EventNode* node) noexcept;
+    [[nodiscard]] std::uint32_t acquire_handle();
+    void release_handle(std::uint32_t index) noexcept;
 
     TimePoint now_ = 0;
-    EventId next_id_ = 1;
+    std::uint64_t next_seq_ = 1;
+    std::size_t live_ = 0;
     /// Window currently being drained; every live event has t >= now(), and
     /// now() lies inside this window, so forward scans never miss an event.
     std::int64_t cursor_ = 0;
@@ -200,11 +224,11 @@ private:
     /// Bit b set iff buckets_[b] is non-empty; lets find_next skip runs of
     /// empty windows with countr_zero instead of probing each list.
     std::array<std::uint64_t, kNumBuckets / 64> occupancy_{};
-    /// Keyed by the monotonically assigned EventId (a value, never a
-    /// pointer) and used for O(1) cancel-and-erase only — firing order comes
-    /// from the bucket lists, so this map's bucket order can never reach the
-    /// simulation.
-    std::unordered_map<EventId, EventNode*> index_;
+    /// Cancel handles, indexed by the slot an EventId encodes.  Used for O(1)
+    /// cancel only — firing order comes from the bucket lists, so which slot
+    /// an event gets can never reach the simulation.
+    std::vector<Handle> handles_;
+    std::uint32_t free_handle_ = 0;  ///< first free slot + 1 (0 = none)
 };
 
 }  // namespace ble::sim

@@ -75,6 +75,28 @@ TEST(Csa1Test, CloneCarriesState) {
     }
 }
 
+TEST(Csa2Test, CoreSpecSampleDataAllChannelsUsed) {
+    // Core Spec Vol 6 Part C, CSA #2 sample data 1: access address 0x8E89BED6
+    // (channel identifier 0x305F), all 37 data channels used.
+    Csa2 csa(0x8E89BED6, ChannelMap{});
+    EXPECT_EQ(csa.channel_for_event(0), 25);
+    EXPECT_EQ(csa.channel_for_event(1), 20);
+    EXPECT_EQ(csa.channel_for_event(2), 6);
+    EXPECT_EQ(csa.channel_for_event(3), 21);
+}
+
+TEST(Csa2Test, CoreSpecSampleDataNineChannelsUsed) {
+    // Core Spec Vol 6 Part C, CSA #2 sample data 2: the same access address with
+    // only channels 9, 10, 21, 22, 23, 33, 34, 35 and 36 used, so unmapped
+    // channels are remapped through the used-channel table.
+    ChannelMap map{0};
+    for (std::uint8_t ch : {9, 10, 21, 22, 23, 33, 34, 35, 36}) map.set_used(ch, true);
+    Csa2 csa(0x8E89BED6, map);
+    EXPECT_EQ(csa.channel_for_event(6), 23);
+    EXPECT_EQ(csa.channel_for_event(7), 9);
+    EXPECT_EQ(csa.channel_for_event(8), 34);
+}
+
 TEST(Csa2Test, PureFunctionOfEventCounter) {
     Csa2 csa(0x8E89BED6 ^ 0x12345678, ChannelMap{});
     const std::uint8_t at100 = csa.channel_for_event(100);

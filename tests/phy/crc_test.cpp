@@ -39,13 +39,28 @@ TEST(Crc24Test, DependsOnInit) {
 }
 
 TEST(Crc24Test, GoldenVector) {
-    // Pinned output of this implementation (ubertooth-compatible LFSR); any
-    // change to the CRC code must be deliberate.
-    const Bytes pdu{0x01, 0x04, 0xDE, 0xAD, 0xBE, 0xEF};
-    EXPECT_EQ(crc24(pdu, 0x555555), crc24(pdu, 0x555555));
-    const std::uint32_t golden = crc24(pdu, 0x555555);
-    EXPECT_EQ(golden, crc24(pdu, 0x555555));
-    EXPECT_NE(golden, 0u);
+    // Literal outputs of the bit-serial LFSR (ubertooth-compatible), so a
+    // change to either implementation fails here rather than comparing the
+    // code with itself.
+    EXPECT_EQ(crc24(Bytes{0x01, 0x04, 0xDE, 0xAD, 0xBE, 0xEF}, 0x555555), 0xB59579u);
+    EXPECT_EQ(crc24(Bytes{0x0F, 0x03, 0xAA, 0xBB, 0xCC}, 0xC0FFEE), 0xCA4C9Du);
+    EXPECT_EQ(crc24_bitwise(Bytes{0x01, 0x04, 0xDE, 0xAD, 0xBE, 0xEF}, 0x555555), 0xB59579u);
+    EXPECT_EQ(crc24_bitwise(Bytes{0x0F, 0x03, 0xAA, 0xBB, 0xCC}, 0xC0FFEE), 0xCA4C9Du);
+}
+
+TEST(Crc24Test, TableMatchesBitwiseOracle) {
+    // Differential property: the byte-table CRC equals the bit-serial LFSR
+    // for random PDUs of every length a BLE PDU can take (0..257 bytes,
+    // header + 255-byte payload) and random 24-bit inits, including inits
+    // with stray high bits that both must mask off.
+    Rng rng(0xC4C24);
+    for (int trial = 0; trial < 10'000; ++trial) {
+        Bytes pdu(rng.next_below(258));
+        for (auto& b : pdu) b = static_cast<std::uint8_t>(rng.next_below(256));
+        const auto init = static_cast<std::uint32_t>(rng.next_u64());
+        ASSERT_EQ(crc24(pdu, init), crc24_bitwise(pdu, init))
+            << "trial " << trial << " length " << pdu.size();
+    }
 }
 
 // Property: reverse(crc(init, pdu)) == init — this equivalence is exactly

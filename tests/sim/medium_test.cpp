@@ -3,6 +3,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <tuple>
 #include <vector>
 
@@ -405,18 +406,28 @@ DeliveryLog run_contended_scenario(bool legacy_full_scan) {
     auto r2 = mk("r2", {2, 0}, 5);
     auto r3 = mk("r3", {1, 1}, 6);
     auto r4 = mk("r4", {0, 2}, 7);
+    // Three more channel-7 listeners make six: the channel's interest list
+    // and every channel-7 frame's rx-power memo outgrow their four inline
+    // slots and spill to the heap.
+    auto r5 = mk("r5", {2, 1}, 8);
+    auto r6 = mk("r6", {0, 1}, 9);
+    auto r7 = mk("r7", {2.5, 2}, 10);
     for (int round = 0; round < 40; ++round) {
         r1->listen(7);
         r2->listen(7);
         r3->listen(7);
         r4->listen(9);
+        r5->listen(7);
+        r6->listen(7);
+        r7->listen(7);
         tx1->transmit(7, test_frame(24, 0xAA));
         (void)scheduler.schedule_after(10'000, [&] { tx2->transmit(7, test_frame(24, 0xBB)); });
         (void)scheduler.schedule_after(30'000, [&] { jam->transmit(9, test_frame(12, 0xCC)); });
         scheduler.run_all();
     }
     DeliveryLog log;
-    for (const ProbeDevice* d : {r1.get(), r2.get(), r3.get(), r4.get()}) {
+    for (const ProbeDevice* d :
+         {r1.get(), r2.get(), r3.get(), r4.get(), r5.get(), r6.get(), r7.get()}) {
         for (const RxFrame& f : d->received) {
             log.emplace_back(d->name(), f.bytes, f.rssi_dbm, f.corrupted_by_medium);
         }
@@ -433,6 +444,63 @@ TEST(MediumLegacyScan, IndexedAndLegacyWalksAreBitIdentical) {
     const DeliveryLog legacy = run_contended_scenario(true);
     EXPECT_FALSE(indexed.empty());
     EXPECT_EQ(indexed, legacy);
+}
+
+// Capture verdicts of a receiver at the edge of range, where the noise
+// floor alone corrupts a byte with probability of order 1e-2, with a weak
+// interferer overlapping part of every fourth frame so that one delivery
+// mixes noise-only and overlapped bytes.
+struct NoiseFloorRun {
+    int frames = 0;             ///< RxDecisions seen (frames the receiver locked)
+    int corrupted_bytes = 0;    ///< summed over every decision
+    std::string verdicts;       ///< one letter per decision: D, C (corrupted), L (lost sync)
+};
+
+NoiseFloorRun run_noise_floor_scenario() {
+    Scheduler scheduler;
+    PathLossParams pl;
+    pl.fading_sigma_db = 3.0;
+    RadioMedium medium(scheduler, Rng(2024), PathLossModel(pl), CaptureModel{}, MediumParams{});
+    NoiseFloorRun run;
+    const auto token = medium.bus().subscribe([&run](const obs::Event& event) {
+        const auto* d = std::get_if<obs::RxDecision>(&event);
+        if (d == nullptr) return;
+        ++run.frames;
+        run.corrupted_bytes += d->corrupted_bytes;
+        run.verdicts += d->verdict == obs::RxVerdict::kLostSync             ? 'L'
+                        : d->verdict == obs::RxVerdict::kDeliveredCorrupted ? 'C'
+                                                                             : 'D';
+    });
+    auto mk = [&](const std::string& name, Position pos, std::uint64_t seed) {
+        RadioDeviceConfig cfg;
+        cfg.name = name;
+        cfg.position = pos;
+        return std::make_unique<ProbeDevice>(scheduler, medium, Rng(seed), cfg);
+    };
+    auto tx = mk("tx", {0, 0}, 1);
+    auto rx = mk("rx", {200, 0}, 2);   // ~-90.6 dBm mean: 6 dB above the -94 dBm edge
+    auto jam = mk("jam", {0, 150}, 3);  // ~-92.8 dBm at rx
+    for (int round = 0; round < 120; ++round) {
+        rx->listen(5);
+        tx->transmit(5, test_frame(32, static_cast<std::uint8_t>(round)));
+        if (round % 4 == 0) {
+            (void)scheduler.schedule_after(150'000, [&] { jam->transmit(5, test_frame(8, 0xC3)); });
+        }
+        scheduler.run_all();
+    }
+    medium.bus().unsubscribe(token);
+    return run;
+}
+
+TEST(MediumNoiseFloor, EdgeOfRangeVerdictsMatchGolden) {
+    // Golden recorded before the per-delivery noise-only probability memo:
+    // the memo must reproduce every per-byte draw and verdict bit for bit.
+    const NoiseFloorRun run = run_noise_floor_scenario();
+    EXPECT_EQ(run.frames, 107);
+    EXPECT_EQ(run.corrupted_bytes, 51);
+    EXPECT_EQ(run.verdicts,
+              "DDDDCCCDDDDDDDDCDDDDCDCCCDDCCDCDCDDDCDCDDDCDCDDDDDCDDDDDDDDDDDCDCDCCCDDCCDCDCDDC"
+              "DCDDDDDDDCDCCDDDCDDDCDCCDDD");
 }
 
 }  // namespace

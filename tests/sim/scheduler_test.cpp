@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/scheduler.hpp"
 
 namespace ble::sim {
@@ -120,6 +124,98 @@ TEST(SchedulerTest, PendingCountsOnlyLiveEvents) {
     EXPECT_EQ(s.pending(), 2u);
     s.cancel(a);
     EXPECT_EQ(s.pending(), 1u);
+}
+
+// --- generation-indexed cancel handles (DESIGN.md §10) ---
+
+TEST(SchedulerHandleTest, CancelAfterFireIsNoop) {
+    Scheduler s;
+    int fired = 0;
+    const EventId a = s.schedule_at(10, [&] { ++fired; });
+    s.run_all();
+    ASSERT_EQ(fired, 1);
+    s.cancel(a);  // already fired
+    EXPECT_TRUE(s.empty());
+    // The fired event's slot is free again; the stale id must not reach
+    // whatever lands there next.
+    (void)s.schedule_at(20, [&] { ++fired; });
+    s.cancel(a);
+    EXPECT_EQ(s.pending(), 1u);
+    s.run_all();
+    EXPECT_EQ(fired, 2);
+}
+
+TEST(SchedulerHandleTest, CancelOfReusedSlotIsNoop) {
+    Scheduler s;
+    bool b_fired = false;
+    const EventId a = s.schedule_at(10, [] {});
+    s.cancel(a);
+    const EventId b = s.schedule_at(20, [&] { b_fired = true; });  // reuses a's slot
+    EXPECT_NE(a, b);
+    s.cancel(a);  // stale generation
+    s.cancel(a);
+    EXPECT_EQ(s.pending(), 1u);
+    s.run_all();
+    EXPECT_TRUE(b_fired);
+    s.cancel(b);  // fired: no-op as well
+    EXPECT_TRUE(s.empty());
+}
+
+TEST(SchedulerHandleTest, CancelInvalidEventIsNoopWithLiveEvents) {
+    Scheduler s;
+    int fired = 0;
+    for (int i = 0; i < 3; ++i) (void)s.schedule_at(10 + i, [&] { ++fired; });
+    s.cancel(kInvalidEvent);
+    EXPECT_EQ(s.pending(), 3u);
+    s.run_all();
+    EXPECT_EQ(fired, 3);
+}
+
+TEST(SchedulerHandleTest, SameTimestampFifoUnderHeavySlotReuse) {
+    // Handle slots are recycled LIFO, so under churn the slot an event gets
+    // runs backwards against insertion order.  Firing order must still be
+    // (time, insertion order) for the survivors of every round.
+    Scheduler s;
+    Rng rng(7);
+    for (int round = 1; round <= 50; ++round) {
+        const TimePoint t = round * 1'000;
+        std::vector<int> order;
+        std::vector<std::pair<EventId, int>> live;
+        for (int i = 0; i < 40; ++i) {
+            live.emplace_back(s.schedule_at(t, [&order, i] { order.push_back(i); }), i);
+            if (rng.chance(0.5)) {
+                const std::size_t victim = rng.next_below(live.size());
+                s.cancel(live[victim].first);
+                live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+            }
+        }
+        std::vector<int> expected;
+        for (const auto& [id, label] : live) expected.push_back(label);
+        s.run_until(t);
+        ASSERT_EQ(order, expected) << "round " << round;
+        ASSERT_TRUE(s.empty());
+    }
+}
+
+TEST(SchedulerHandleTest, OversizedCaptureFallsBackToHeapAndDiesWithScheduler) {
+    // A capture larger than the inline buffer is boxed on the heap; an event
+    // that never fires must still release it when the scheduler is torn
+    // down (the sanitizer job turns a leak here into a failure).
+    auto token = std::make_shared<int>(0);
+    std::array<char, 256> ballast{};
+    auto big = [token, ballast] { (void)ballast; };
+    auto small = [token] {};
+    static_assert(!EventCallback::stores_inline<decltype(big)>);
+    static_assert(EventCallback::stores_inline<decltype(small)>);
+    {
+        Scheduler s;
+        (void)s.schedule_at(10, big);
+        (void)s.schedule_at(20, small);
+        const EventId cancelled = s.schedule_at(30, big);
+        s.cancel(cancelled);
+        EXPECT_EQ(token.use_count(), 5);  // token, big, small, two pending copies
+    }
+    EXPECT_EQ(token.use_count(), 3);  // the scheduler released both pending callbacks
 }
 
 // --- calendar-queue storage and window semantics (DESIGN.md §10) ---
