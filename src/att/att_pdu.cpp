@@ -34,7 +34,7 @@ Bytes AttPdu::serialize() const {
     return w.take();
 }
 
-std::optional<AttPdu> AttPdu::parse(BytesView data) noexcept {
+std::optional<AttPdu> AttPdu::parse(BytesView data) {
     if (data.empty()) return std::nullopt;
     AttPdu out;
     out.opcode = static_cast<Opcode>(data[0]);
@@ -104,12 +104,13 @@ AttPdu make_indication(std::uint16_t handle, BytesView value) {
 
 AttPdu make_confirmation() { return AttPdu{Opcode::kHandleValueConfirmation, {}}; }
 
-std::optional<HandleValue> HandleValue::parse(const AttPdu& pdu) noexcept {
+std::optional<HandleValue> HandleValue::parse(const AttPdu& pdu) {
     if (pdu.params.size() < 2) return std::nullopt;
     ByteReader r(pdu.params);
     HandleValue out;
     out.handle = *r.read_u16();
-    out.value = r.read_rest();
+    const BytesView value = r.read_rest();
+    out.value.assign(value.begin(), value.end());
     return out;
 }
 

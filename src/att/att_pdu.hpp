@@ -52,7 +52,8 @@ struct AttPdu {
     Bytes params;
 
     [[nodiscard]] Bytes serialize() const;
-    static std::optional<AttPdu> parse(BytesView data) noexcept;
+    /// Copies the parameters: an AttPdu owns its bytes.
+    static std::optional<AttPdu> parse(BytesView data);
 };
 
 // --- typed builders/parsers for the PDUs the stack and attacks use ---
@@ -83,7 +84,7 @@ struct HandleValue {
     std::uint16_t handle = 0;
     Bytes value;
     /// Parses ReadReq / WriteReq / WriteCmd / Notification / Indication.
-    static std::optional<HandleValue> parse(const AttPdu& pdu) noexcept;
+    static std::optional<HandleValue> parse(const AttPdu& pdu);
 };
 
 [[nodiscard]] AttPdu make_find_information_req(std::uint16_t start, std::uint16_t end);

@@ -54,19 +54,18 @@ std::optional<std::uint64_t> ByteReader::read_u64() noexcept {
     return v;
 }
 
-std::optional<Bytes> ByteReader::read_bytes(std::size_t n) noexcept {
+std::optional<BytesView> ByteReader::read_bytes(std::size_t n) noexcept {
     if (remaining() < n) {
         failed_ = true;
         return std::nullopt;
     }
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const BytesView out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
 }
 
-Bytes ByteReader::read_rest() noexcept {
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_), data_.end());
+BytesView ByteReader::read_rest() noexcept {
+    const BytesView out = data_.subspan(pos_);
     pos_ = data_.size();
     return out;
 }

@@ -37,10 +37,11 @@ public:
     std::optional<std::uint32_t> read_u24() noexcept;
     std::optional<std::uint32_t> read_u32() noexcept;
     std::optional<std::uint64_t> read_u64() noexcept;
-    /// Copies `n` bytes; nullopt if fewer remain.
-    std::optional<Bytes> read_bytes(std::size_t n) noexcept;
-    /// Everything left in the buffer (possibly empty).
-    Bytes read_rest() noexcept;
+    /// The next `n` bytes, as a view into the borrowed buffer; nullopt if
+    /// fewer remain.  Copy them to keep them past the buffer's lifetime.
+    std::optional<BytesView> read_bytes(std::size_t n) noexcept;
+    /// Everything left in the buffer (possibly empty), as a view.
+    BytesView read_rest() noexcept;
     bool skip(std::size_t n) noexcept;
 
 private:

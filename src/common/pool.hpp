@@ -34,8 +34,9 @@ public:
     BufferPool(const BufferPool&) = delete;
     BufferPool& operator=(const BufferPool&) = delete;
 
-    /// A buffer of exactly `size` bytes with unspecified contents.
-    [[nodiscard]] Bytes acquire(std::size_t size) {
+    /// A buffer of exactly `size` bytes with unspecified contents (an empty
+    /// one by default, for writers that size it themselves).
+    [[nodiscard]] Bytes acquire(std::size_t size = 0) {
         Bytes b = take();
         b.resize(size);
         return b;
@@ -43,7 +44,7 @@ public:
 
     /// A buffer holding a copy of `src` (the pooled fast path for the
     /// per-receiver AirFrame payload copy).
-    [[nodiscard]] Bytes acquire_copy(const Bytes& src) {
+    [[nodiscard]] Bytes acquire_copy(BytesView src) {
         Bytes b = take();
         b.assign(src.begin(), src.end());
         return b;

@@ -13,7 +13,7 @@ EmulatedEndpoint::EmulatedEndpoint(AttackerRadio& radio, link::ConnectionConfig 
                                    Upper upper, att::AttServer* server)
     : radio_(radio), upper_(upper), server_(server) {
     link::ConnectionHooks hooks;
-    hooks.on_data = [this](const link::DataPdu& pdu) {
+    hooks.on_data = [this](const link::DataPduView& pdu) {
         if (l2cap_) l2cap_->handle_ll_pdu(pdu);
     };
     hooks.on_disconnected = [this](link::DisconnectReason reason) {
@@ -36,7 +36,7 @@ EmulatedEndpoint::EmulatedEndpoint(AttackerRadio& radio, link::ConnectionConfig 
         [this](link::Llid llid, Bytes fragment) {
             connection_->send_data(llid, std::move(fragment));
         },
-        [this](std::uint16_t cid, const Bytes& sdu) {
+        [this](std::uint16_t cid, BytesView sdu) {
             if (on_sdu) on_sdu(cid, sdu);
             if (cid != host::kAttCid) return;
             const auto pdu = att::AttPdu::parse(sdu);
@@ -424,6 +424,17 @@ void ScenarioD::execute(std::function<void(const Result&)> done) {
     try_once();
 }
 
+void ScenarioD::relay(EmulatedEndpoint& to, std::uint16_t cid, BytesView sdu,
+                      bool from_master) {
+    if (!tamper) {
+        to.send_sdu(cid, sdu);
+        return;
+    }
+    if (const std::optional<Bytes> out = tamper(Bytes(sdu.begin(), sdu.end()), from_master)) {
+        to.send_sdu(cid, *out);
+    }
+}
+
 void ScenarioD::split_connection() {
     const auto slave_bits = session_.slave_bits();
     const auto master_bits = session_.master_bits();
@@ -474,13 +485,11 @@ void ScenarioD::split_connection() {
                                                      EmulatedEndpoint::Upper::kTap);
 
     // The relay: every SDU crossing the attacker runs through `tamper`.
-    master_side_->on_sdu = [this](std::uint16_t cid, const Bytes& sdu) {
-        std::optional<Bytes> out = tamper ? tamper(sdu, /*from_master=*/false) : sdu;
-        if (out) slave_side_->send_sdu(cid, *out);
+    master_side_->on_sdu = [this](std::uint16_t cid, BytesView sdu) {
+        relay(*slave_side_, cid, sdu, /*from_master=*/false);
     };
-    slave_side_->on_sdu = [this](std::uint16_t cid, const Bytes& sdu) {
-        std::optional<Bytes> out = tamper ? tamper(sdu, /*from_master=*/true) : sdu;
-        if (out) master_side_->send_sdu(cid, *out);
+    slave_side_->on_sdu = [this](std::uint16_t cid, BytesView sdu) {
+        relay(*master_side_, cid, sdu, /*from_master=*/true);
     };
 
     auto anchored = std::make_shared<std::pair<bool, bool>>(false, false);

@@ -54,8 +54,9 @@ public:
     /// the slave role with a forged HID profile.
     void notify(std::uint16_t handle, ble::BytesView value);
 
-    /// Raw SDU tap (fires for every reassembled SDU, all Upper modes).
-    std::function<void(std::uint16_t cid, const ble::Bytes&)> on_sdu;
+    /// Raw SDU tap (fires for every reassembled SDU, all Upper modes); the
+    /// view is valid only during the call.
+    std::function<void(std::uint16_t cid, ble::BytesView)> on_sdu;
     std::function<void(ble::link::DisconnectReason)> on_disconnected;
     std::function<void(const ble::link::ConnectionEventReport&)> on_event;
 
@@ -233,6 +234,8 @@ public:
 
 private:
     void split_connection();
+    /// Forwards one SDU to `to`, through `tamper` when it is set.
+    void relay(EmulatedEndpoint& to, std::uint16_t cid, ble::BytesView sdu, bool from_master);
 
     AttackSession& session_;
     AttackerRadio& slave_radio_;

@@ -154,7 +154,7 @@ void AttackSession::handle_rx(const sim::RxFrame& frame) {
     const auto raw = phy::split_frame(frame.bytes);
     if (!raw || raw->access_address != params_.access_address) return;
     const bool crc_ok = raw->crc_ok(params_.crc_init);
-    const auto pdu = link::DataPdu::parse(raw->pdu);
+    const auto pdu = link::DataPduView::parse(raw->pdu);
 
     if (mode_ == Mode::kInject) {
         if (!awaiting_response_) return;
@@ -180,7 +180,7 @@ void AttackSession::handle_rx(const sim::RxFrame& frame) {
             packet.end = frame.end;
             packet.channel = frame.channel;
             packet.event_counter = event_counter_;
-            if (pdu) packet.pdu = *pdu;
+            if (pdu) packet.pdu = pdu->to_owned();
             on_packet(packet);
         }
         finish_attempt();
@@ -204,17 +204,19 @@ void AttackSession::handle_rx(const sim::RxFrame& frame) {
     }
     ++frames_this_event_;
 
-    SniffedPacket packet;
-    packet.sender =
-        is_master_frame ? SniffedPacket::Sender::kMaster : SniffedPacket::Sender::kSlave;
-    packet.crc_ok = crc_ok;
-    packet.start = frame.start;
-    packet.end = frame.end;
-    packet.channel = frame.channel;
-    packet.event_counter = event_counter_;
-    if (pdu) packet.pdu = *pdu;
-
-    if (on_packet) on_packet(packet);
+    // A SniffedPacket owns its PDU, so it is only built for a listener.
+    if (on_packet) {
+        SniffedPacket packet;
+        packet.sender =
+            is_master_frame ? SniffedPacket::Sender::kMaster : SniffedPacket::Sender::kSlave;
+        packet.crc_ok = crc_ok;
+        packet.start = frame.start;
+        packet.end = frame.end;
+        packet.channel = frame.channel;
+        packet.event_counter = event_counter_;
+        if (pdu) packet.pdu = pdu->to_owned();
+        on_packet(packet);
+    }
 
     if (is_master_frame) {
         if (!anchored_this_event_) {
@@ -326,11 +328,15 @@ void AttackSession::begin_inject_event() {
                 static_cast<Duration>(radio_.rng().uniform(0.0, 100e3));
     }
     const auto [sn_a, nesn_a] = forged_sequence_bits(slave_bits_->first, slave_bits_->second);
-    link::DataPdu pdu;
+    link::DataPduView pdu;
     pdu.llid = request_->llid;
     pdu.payload = request_->payload;
     pdu.sn = sn_a;
     pdu.nesn = nesn_a;
+    // Framed now, into a pooled buffer, so the attempt sends exactly this
+    // request even if inject() replaces it before the frame leaves.
+    injection_frame_ = phy::make_air_frame(radio_.frame_buffer(), params_.access_address,
+                                           pdu.header(), pdu.payload, params_.crc_init);
 
     slave_bits_fresh_ = false;  // consumed by this attempt
     ++attempts_;
@@ -339,14 +345,12 @@ void AttackSession::begin_inject_event() {
     observation_.sn_a = sn_a;
     observation_.nesn_a = nesn_a;
 
-    timer_ = guarded_at(tx_at, [this, pdu] {
+    timer_ = guarded_at(tx_at, [this] {
         if (!running_ || lost_) return;
         timer_ = sim::kInvalidEvent;
-        auto frame = phy::make_air_frame(params_.access_address, pdu.serialize(),
-                                         params_.crc_init);
         observation_.tx_start = radio_.now();
-        observation_.tx_duration = frame.duration();
-        radio_.transmit(channel_, std::move(frame));
+        observation_.tx_duration = injection_frame_.duration();
+        radio_.transmit(channel_, std::move(injection_frame_));
     });
 }
 

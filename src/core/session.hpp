@@ -226,6 +226,9 @@ private:
     int attempts_ = 0;
     InjectionObservation observation_;
     bool awaiting_response_ = false;
+    /// The framed PDU of the pending attempt (built in begin_inject_event,
+    /// moved to the medium when it fires).
+    ble::sim::AirFrame injection_frame_;
 
     /// Schedules `fn` unless this session is gone by then (see
     /// Connection::guarded_at; a template for the same inline-capture reason).

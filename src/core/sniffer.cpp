@@ -62,7 +62,7 @@ void AdvSniffer::handle_rx(const sim::RxFrame& frame) {
     const auto raw = phy::split_frame(frame.bytes);
     if (!raw || raw->access_address != phy::kAdvertisingAccessAddress) return;
     if (!raw->crc_ok(phy::kAdvertisingCrcInit)) return;
-    const auto pdu = link::AdvPdu::parse(raw->pdu);
+    const auto pdu = link::AdvPduView::parse(raw->pdu);
     if (!pdu) return;
 
     if (on_advertisement) on_advertisement(*pdu, frame.end, frame.channel);

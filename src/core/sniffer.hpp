@@ -35,8 +35,9 @@ public:
     /// CONNECT_REQ captured: the full parameter set + time reference.
     std::function<void(const SniffedConnection&, const ble::link::ConnectReqPdu&)>
         on_connection;
-    /// Every advertising PDU heard (diagnostics).
-    std::function<void(const ble::link::AdvPdu&, ble::TimePoint end, std::uint8_t channel)>
+    /// Every advertising PDU heard (diagnostics); the payload views the
+    /// received frame, valid only during the call.
+    std::function<void(const ble::link::AdvPduView&, ble::TimePoint end, std::uint8_t channel)>
         on_advertisement;
 
 private:

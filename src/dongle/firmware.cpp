@@ -121,7 +121,8 @@ void Firmware::inject(BytesView payload) {
     }
     AttackSession::InjectionRequest request;
     request.llid = static_cast<ble::link::Llid>(*llid & 0b11);
-    request.payload = r.read_rest();
+    const BytesView payload_rest = r.read_rest();
+    request.payload.assign(payload_rest.begin(), payload_rest.end());
     request.max_attempts = *max_attempts;
     request.done = [this](bool success, int attempts) {
         ByteWriter w(3);

@@ -16,7 +16,7 @@ Bytes serialize_frame(std::uint8_t type, BytesView payload) {
     return w.take();
 }
 
-std::optional<std::pair<std::uint8_t, Bytes>> parse_frame(BytesView wire) noexcept {
+std::optional<std::pair<std::uint8_t, BytesView>> parse_frame(BytesView wire) noexcept {
     ByteReader r(wire);
     const auto type = r.read_u8();
     const auto length = r.read_u16();
@@ -29,20 +29,22 @@ Bytes Command::serialize() const {
     return serialize_frame(static_cast<std::uint8_t>(type), payload);
 }
 
-std::optional<Command> Command::parse(BytesView wire) noexcept {
+std::optional<Command> Command::parse(BytesView wire) {
     const auto frame = parse_frame(wire);
     if (!frame) return std::nullopt;
-    return Command{static_cast<CommandType>(frame->first), frame->second};
+    return Command{static_cast<CommandType>(frame->first),
+                   Bytes(frame->second.begin(), frame->second.end())};
 }
 
 Bytes Notification::serialize() const {
     return serialize_frame(static_cast<std::uint8_t>(type), payload);
 }
 
-std::optional<Notification> Notification::parse(BytesView wire) noexcept {
+std::optional<Notification> Notification::parse(BytesView wire) {
     const auto frame = parse_frame(wire);
     if (!frame) return std::nullopt;
-    return Notification{static_cast<NotificationType>(frame->first), frame->second};
+    return Notification{static_cast<NotificationType>(frame->first),
+                        Bytes(frame->second.begin(), frame->second.end())};
 }
 
 void write_sniffed_connection(ByteWriter& w, const SniffedConnection& conn) {

@@ -39,7 +39,7 @@ struct Command {
     ble::Bytes payload;
 
     [[nodiscard]] ble::Bytes serialize() const;
-    static std::optional<Command> parse(ble::BytesView wire) noexcept;
+    static std::optional<Command> parse(ble::BytesView wire);
 };
 
 struct Notification {
@@ -47,7 +47,7 @@ struct Notification {
     ble::Bytes payload;
 
     [[nodiscard]] ble::Bytes serialize() const;
-    static std::optional<Notification> parse(ble::BytesView wire) noexcept;
+    static std::optional<Notification> parse(ble::BytesView wire);
 };
 
 // Payload codecs shared by both ends.

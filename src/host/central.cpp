@@ -25,7 +25,7 @@ Central::Central(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng rng,
 
 void Central::wire_hooks() {
     link::ConnectionHooks hooks;
-    hooks.on_data = [this](const link::DataPdu& pdu) {
+    hooks.on_data = [this](const link::DataPduView& pdu) {
         if (l2cap_) l2cap_->handle_ll_pdu(pdu);
     };
     hooks.on_control = [this](const link::ControlPdu& pdu) { handle_control(pdu); };
@@ -46,7 +46,7 @@ void Central::wire_hooks() {
             [&conn](link::Llid llid, Bytes fragment) {
                 conn.send_data(llid, std::move(fragment));
             },
-            [this](std::uint16_t cid, const Bytes& sdu) {
+            [this](std::uint16_t cid, BytesView sdu) {
                 if (cid != kAttCid) return;
                 if (const auto pdu = att::AttPdu::parse(sdu)) att_client_.handle_pdu(*pdu);
             });

@@ -21,7 +21,7 @@ Peripheral::Peripheral(sim::Scheduler& scheduler, sim::RadioMedium& medium, Rng 
 
 void Peripheral::wire_hooks() {
     link::ConnectionHooks hooks;
-    hooks.on_data = [this](const link::DataPdu& pdu) {
+    hooks.on_data = [this](const link::DataPduView& pdu) {
         if (l2cap_) l2cap_->handle_ll_pdu(pdu);
     };
     hooks.on_control = [this](const link::ControlPdu& pdu) { handle_control(pdu); };
@@ -42,7 +42,7 @@ void Peripheral::wire_hooks() {
             [&conn](link::Llid llid, Bytes fragment) {
                 conn.send_data(llid, std::move(fragment));
             },
-            [this](std::uint16_t cid, const Bytes& sdu) {
+            [this](std::uint16_t cid, BytesView sdu) {
                 if (cid == kAttCid) handle_att_sdu(sdu);
             });
         if (on_connected) on_connected();
@@ -51,7 +51,7 @@ void Peripheral::wire_hooks() {
 
 void Peripheral::start() { device_->start_advertising(link::make_adv_name(config_.name)); }
 
-void Peripheral::handle_att_sdu(const Bytes& sdu) {
+void Peripheral::handle_att_sdu(BytesView sdu) {
     const auto pdu = att::AttPdu::parse(sdu);
     if (!pdu) return;
     const auto response = att_server_.handle_pdu(*pdu);

@@ -55,7 +55,7 @@ public:
 
 private:
     void wire_hooks();
-    void handle_att_sdu(const Bytes& sdu);
+    void handle_att_sdu(BytesView sdu);
     void handle_control(const link::ControlPdu& pdu);
 
     PeripheralConfig config_;

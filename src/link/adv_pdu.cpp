@@ -39,7 +39,7 @@ AdvPdu ConnectReqPdu::to_adv_pdu() const {
     return pdu;
 }
 
-std::optional<ConnectReqPdu> ConnectReqPdu::parse(const AdvPdu& pdu) noexcept {
+std::optional<ConnectReqPdu> ConnectReqPdu::parse(const AdvPduView& pdu) noexcept {
     if (pdu.type != AdvPduType::kConnectReq || pdu.payload.size() != 34) return std::nullopt;
     ByteReader r(pdu.payload);
     ConnectReqPdu out;
@@ -77,7 +77,7 @@ AdvPdu AdvDataPdu::to_adv_pdu() const {
     return pdu;
 }
 
-std::optional<AdvDataPdu> AdvDataPdu::parse(const AdvPdu& pdu) noexcept {
+std::optional<AdvDataPdu> AdvDataPdu::parse(const AdvPduView& pdu) {
     if (pdu.payload.size() < kDeviceAddressBytes ||
         pdu.payload.size() > kMaxAdvPayloadBytes)
         return std::nullopt;
@@ -88,7 +88,8 @@ std::optional<AdvDataPdu> AdvDataPdu::parse(const AdvPdu& pdu) noexcept {
         r, pdu.tx_add ? AddressType::kRandom : AddressType::kPublic);
     if (!adv) return std::nullopt;
     out.advertiser = *adv;
-    out.data = r.read_rest();
+    const BytesView data = r.read_rest();
+    out.data.assign(data.begin(), data.end());
     return out;
 }
 

@@ -53,7 +53,7 @@ struct ConnectReqPdu {
     ConnectionParams params;
 
     [[nodiscard]] AdvPdu to_adv_pdu() const;
-    static std::optional<ConnectReqPdu> parse(const AdvPdu& pdu) noexcept;
+    static std::optional<ConnectReqPdu> parse(const AdvPduView& pdu) noexcept;
 };
 
 /// ADV_IND / ADV_NONCONN_IND / SCAN_RSP: advertiser address + AD payload.
@@ -63,7 +63,8 @@ struct AdvDataPdu {
     Bytes data;  ///< AD structures (we treat them opaquely; name helper below)
 
     [[nodiscard]] AdvPdu to_adv_pdu() const;
-    static std::optional<AdvDataPdu> parse(const AdvPdu& pdu) noexcept;
+    /// Copies the AD payload.
+    static std::optional<AdvDataPdu> parse(const AdvPduView& pdu);
 };
 
 /// Builds the AD structure list for a complete local name (type 0x09).

@@ -145,15 +145,14 @@ void Connection::resume(TimePoint next_anchor) {
 
 // --- transmit path ---
 
-DataPdu Connection::build_next_pdu() {
-    DataPdu pdu;
-    if (in_flight_) {
-        pdu.llid = in_flight_->llid;  // retransmission keeps its SN
-        pdu.payload = in_flight_->payload;
-    } else if (!tx_queue_.empty()) {
+DataPduView Connection::build_next_pdu() {
+    DataPduView pdu;
+    if (!in_flight_ && !tx_queue_.empty()) {
         in_flight_ = std::move(tx_queue_.front());
         tx_queue_.pop_front();
-        pdu.llid = in_flight_->llid;
+    }
+    if (in_flight_) {
+        pdu.llid = in_flight_->llid;  // a retransmission keeps its SN
         pdu.payload = in_flight_->payload;
     } else {
         pdu.llid = Llid::kDataContinuation;  // empty PDU
@@ -164,25 +163,28 @@ DataPdu Connection::build_next_pdu() {
     return pdu;
 }
 
-bool Connection::is_start_enc_req(const DataPdu& pdu) noexcept {
+bool Connection::is_start_enc_req(const DataPduView& pdu) noexcept {
     return pdu.llid == Llid::kControl && !pdu.payload.empty() &&
            pdu.payload[0] == static_cast<std::uint8_t>(ControlOpcode::kStartEncReq);
 }
 
-void Connection::transmit_pdu(const DataPdu& pdu) {
-    last_tx_pdu_ = pdu;
-    DataPdu wire = pdu;
+void Connection::transmit_pdu(const DataPduView& pdu) {
+    last_tx_md_ = pdu.md;
+    DataPduView wire = pdu;
     // LL_START_ENC_REQ is defined to travel in plaintext even after the
     // cipher is armed (it is the arming signal) — this also keeps its
     // retransmissions parseable by a peer that has not switched yet.
+    Bytes ciphertext;
     if (encrypted_ && crypto_ && !wire.payload.empty() && !is_start_enc_req(wire)) {
         // AAD is the first header byte with SN/NESN/MD masked (Vol 6 Part E).
         const std::uint8_t aad = static_cast<std::uint8_t>(wire.llid) & 0b11;
-        wire.payload = crypto_->encrypt(aad, wire.payload, config_.role == Role::kMaster);
+        ciphertext = crypto_->encrypt(aad, wire.payload, config_.role == Role::kMaster);
+        wire.payload = ciphertext;
     }
-    const Bytes bytes = wire.serialize();
-    radio_.transmit(channel_, phy::make_air_frame(config_.params.access_address, bytes,
-                                                  config_.params.crc_init));
+    // AA | header | payload | CRC, written once into a pooled frame buffer.
+    radio_.transmit(channel_, phy::make_air_frame(radio_.frame_buffer(),
+                                                  config_.params.access_address, wire.header(),
+                                                  wire.payload, config_.params.crc_init));
     ++report_.pdus_tx;
 
     // LL_START_ENC_REQ flips the cipher on for every subsequent PDU in both
@@ -318,7 +320,7 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
     if (!raw || raw->access_address != config_.params.access_address) return;
 
     const bool crc_ok = raw->crc_ok(config_.params.crc_init);
-    auto pdu = DataPdu::parse(raw->pdu);
+    const auto pdu = DataPduView::parse(raw->pdu);
 
     if (config_.role == Role::kSlave) {
         if (state_ != State::kSlaveWaitAnchor) return;
@@ -385,7 +387,7 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
     // the frame we just sent (data queued after that frame left the antenna
     // must wait for the next event — the slave has already stopped
     // listening).
-    const bool more = peer_md_ || last_tx_pdu_.md;
+    const bool more = peer_md_ || last_tx_md_;
     const TimePoint budget_end = anchor_ + config_.params.interval() - kEventCloseMargin;
     const TimePoint exchange_end =
         frame.end + kTifs + max_frame_air_time() + kTifs + max_frame_air_time();
@@ -399,7 +401,7 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
     close_event();
 }
 
-void Connection::process_frame(const DataPdu& pdu, bool crc_ok, TimePoint /*rx_start*/,
+void Connection::process_frame(const DataPduView& pdu, bool crc_ok, TimePoint /*rx_start*/,
                                TimePoint rx_end) {
     static thread_local obs::prof::SpanSite prof_site{"link.conn.process_frame"};
     obs::prof::Span prof_span(prof_site);
@@ -411,18 +413,20 @@ void Connection::process_frame(const DataPdu& pdu, bool crc_ok, TimePoint /*rx_s
     }
     peer_md_ = pdu.md;
 
-    DataPdu effective = pdu;
+    // The PDU the upper layers see: the received bytes themselves, or the
+    // plaintext when the link is encrypted (the only copy on this path).
+    DataPduView effective = pdu;
+    std::optional<Bytes> plain;
     if (encrypted_ && crypto_ && !effective.payload.empty() && !is_start_enc_req(effective)) {
         const std::uint8_t aad = static_cast<std::uint8_t>(effective.llid) & 0b11;
-        auto plain =
-            crypto_->decrypt(aad, effective.payload, config_.role == Role::kSlave);
+        plain = crypto_->decrypt(aad, effective.payload, config_.role == Role::kSlave);
         if (!plain) {
             // MIC failure: terminate immediately (spec) — the paper's DoS
             // outcome when injecting into an encrypted connection.
             disconnect(DisconnectReason::kMicFailure);
             return;
         }
-        effective.payload = std::move(*plain);
+        effective.payload = *plain;
     }
 
     // Acknowledgement: the peer's NESN differing from our SN acks our last PDU.

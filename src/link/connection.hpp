@@ -67,8 +67,10 @@ struct ConnectionEventReport {
 
 struct ConnectionHooks {
     /// New (non-duplicate) data PDU accepted by flow control. Control PDUs are
-    /// handled internally first; they are reported through on_control.
-    std::function<void(const DataPdu&)> on_data;
+    /// handled internally first; they are reported through on_control.  The
+    /// payload views the received frame (or the decrypted plaintext): it is
+    /// valid only during the call, so copy what must outlive it.
+    std::function<void(const DataPduView&)> on_data;
     /// Every control PDU accepted by flow control (after built-in handling).
     std::function<void(const ControlPdu&)> on_control;
     std::function<void(DisconnectReason)> on_disconnected;
@@ -187,10 +189,12 @@ private:
     void disconnect(DisconnectReason reason);
 
     // PDU plumbing.
-    static bool is_start_enc_req(const DataPdu& pdu) noexcept;
-    DataPdu build_next_pdu();
-    void transmit_pdu(const DataPdu& pdu);
-    void process_frame(const DataPdu& pdu, bool crc_ok, TimePoint rx_start, TimePoint rx_end);
+    static bool is_start_enc_req(const DataPduView& pdu) noexcept;
+    /// The next PDU to send; its payload views in_flight_ (no copy).
+    DataPduView build_next_pdu();
+    void transmit_pdu(const DataPduView& pdu);
+    void process_frame(const DataPduView& pdu, bool crc_ok, TimePoint rx_start,
+                       TimePoint rx_end);
     void handle_control(const ControlPdu& pdu);
     void check_supervision(TimePoint now);
 
@@ -259,7 +263,7 @@ private:
     ConnectionEventReport report_{};
     bool peer_md_ = false;
     TimePoint last_rx_end_ = 0;
-    DataPdu last_tx_pdu_{};
+    bool last_tx_md_ = false;  // MD bit of the frame we sent last
 
     // Pending procedures (applied at their instant).
     std::optional<ConnectionUpdateInd> pending_update_;

@@ -43,7 +43,7 @@ Bytes ControlPdu::serialize() const {
     return w.take();
 }
 
-std::optional<ControlPdu> ControlPdu::parse(BytesView payload) noexcept {
+std::optional<ControlPdu> ControlPdu::parse(BytesView payload) {
     if (payload.empty()) return std::nullopt;
     ControlPdu out;
     out.opcode = static_cast<ControlOpcode>(payload[0]);

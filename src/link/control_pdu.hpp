@@ -58,7 +58,8 @@ struct ControlPdu {
     /// Full LL payload ([opcode | CtrData]) to place in a DataPdu with
     /// Llid::kControl.
     [[nodiscard]] Bytes serialize() const;
-    static std::optional<ControlPdu> parse(BytesView payload) noexcept;
+    /// Copies CtrData: a ControlPdu owns its bytes.
+    static std::optional<ControlPdu> parse(BytesView payload);
 };
 
 /// LL_CONNECTION_UPDATE_IND — the paper's Fig. 2/7 payload.

@@ -19,9 +19,10 @@ constexpr Duration kAdvRxGuard = 30_us;
 /// Scanner dwell per advertising channel (host policy, like scanInterval).
 constexpr Duration kScanRotateInterval = 30_ms;
 
-sim::AirFrame adv_air_frame(const AdvPdu& pdu) {
-    return phy::make_air_frame(phy::kAdvertisingAccessAddress, pdu.serialize(),
-                               phy::kAdvertisingCrcInit);
+/// `pdu` framed for the advertising channels in a pooled buffer of `radio`.
+sim::AirFrame adv_air_frame(sim::RadioDevice& radio, const AdvPduView& pdu) {
+    return phy::make_air_frame(radio.frame_buffer(), phy::kAdvertisingAccessAddress,
+                               pdu.header(), pdu.payload, phy::kAdvertisingCrcInit);
 }
 }  // namespace
 
@@ -35,6 +36,12 @@ LinkLayerDevice::~LinkLayerDevice() = default;
 
 void LinkLayerDevice::start_advertising(Bytes adv_data) {
     adv_data_ = std::move(adv_data);
+    AdvDataPdu adv;
+    adv.type = AdvPduType::kAdvInd;
+    adv.advertiser = config_.address;
+    adv.data = adv_data_;
+    adv_ind_ = adv.to_adv_pdu();
+    adv_ind_.ch_sel = config_.support_csa2;
     if (mode_ == Mode::kConnected) return;  // resumes on disconnect
     mode_ = Mode::kAdvertising;
     advertising_event();
@@ -64,20 +71,14 @@ void LinkLayerDevice::advertise_on_next_channel() {
         adv_timer_ = schedule_local(delay, [this] { advertising_event(); });
         return;
     }
-    AdvDataPdu adv;
-    adv.type = AdvPduType::kAdvInd;
-    adv.advertiser = config_.address;
-    adv.data = adv_data_;
-    AdvPdu pdu = adv.to_adv_pdu();
-    pdu.ch_sel = config_.support_csa2;
-    transmit(kAdvChannels[adv_channel_index_], adv_air_frame(pdu));
+    transmit(kAdvChannels[adv_channel_index_], adv_air_frame(*this, adv_ind_));
 }
 
 void LinkLayerDevice::handle_adv_channel_rx(const sim::RxFrame& frame) {
     const auto raw = phy::split_frame(frame.bytes);
     if (!raw || raw->access_address != phy::kAdvertisingAccessAddress) return;
     if (!raw->crc_ok(phy::kAdvertisingCrcInit)) return;
-    const auto pdu = AdvPdu::parse(raw->pdu);
+    const auto pdu = AdvPduView::parse(raw->pdu);
     if (!pdu) return;
 
     if (mode_ == Mode::kScanning) {
@@ -96,7 +97,7 @@ void LinkLayerDevice::handle_adv_channel_rx(const sim::RxFrame& frame) {
         if (pdu->type == AdvPduType::kScanReq && !scan_rsp_data_.empty()) {
             // SCAN_REQ payload: scanner address (6) + advertiser address (6).
             if (raw->pdu.size() == 2 + 12) {
-                ByteReader r(BytesView(raw->pdu).subspan(8));
+                ByteReader r(raw->pdu.subspan(8));
                 if (auto target = DeviceAddress::read_from(
                         r, pdu->rx_add ? AddressType::kRandom : AddressType::kPublic);
                     target && *target == config_.address) {
@@ -112,7 +113,7 @@ void LinkLayerDevice::handle_adv_channel_rx(const sim::RxFrame& frame) {
                         rsp.type = AdvPduType::kScanRsp;
                         rsp.advertiser = config_.address;
                         rsp.data = scan_rsp_data_;
-                        transmit(channel, adv_air_frame(rsp.to_adv_pdu()));
+                        transmit(channel, adv_air_frame(*this, rsp.to_adv_pdu()));
                     });
                 }
             }
@@ -135,7 +136,7 @@ void LinkLayerDevice::handle_adv_channel_rx(const sim::RxFrame& frame) {
                     req.initiator = config_.address;
                     req.advertiser = *connect_target_;
                     req.params = initiate_params_;
-                    transmit(channel, adv_air_frame(req.to_adv_pdu()));
+                    transmit(channel, adv_air_frame(*this, req.to_adv_pdu()));
                 });
             }
         }

@@ -50,8 +50,10 @@ public:
     [[nodiscard]] bool advertising() const noexcept { return mode_ == Mode::kAdvertising; }
 
     // --- Observer role ---
-    using AdvObserver = std::function<void(const AdvPdu&, TimePoint rx_end, double rssi_dbm,
-                                           sim::Channel channel)>;
+    /// Sees every advertising PDU heard; the payload views the received
+    /// frame, valid only during the call.
+    using AdvObserver = std::function<void(const AdvPduView&, TimePoint rx_end,
+                                           double rssi_dbm, sim::Channel channel)>;
     void start_scanning(AdvObserver observer);
     void stop_scanning();
 
@@ -96,6 +98,7 @@ private:
 
     // Advertising state.
     Bytes adv_data_;
+    AdvPdu adv_ind_;  // the ADV_IND built from adv_data_, resent every event
     Bytes scan_rsp_data_;
     int adv_channel_index_ = 0;  // 0..2 -> channels 37..39
     sim::EventId adv_timer_ = sim::kInvalidEvent;

@@ -28,7 +28,7 @@ const char* adv_type_name(AdvPduType type) {
 
 /// CONNECT_REQ carries every parameter the attacker needs (paper Table II) —
 /// surface the ones an analyst greps for when validating a capture.
-std::string connect_req_detail(const AdvPdu& pdu) {
+std::string connect_req_detail(const AdvPduView& pdu) {
     const auto req = ConnectReqPdu::parse(pdu);
     if (!req) return {};
     char buf[96];
@@ -74,7 +74,7 @@ std::string describe_frame(BytesView bytes) {
 
     char buf[160];
     if (raw->access_address == phy::kAdvertisingAccessAddress) {
-        const auto pdu = AdvPdu::parse(raw->pdu);
+        const auto pdu = AdvPduView::parse(raw->pdu);
         if (!pdu) return "ADV malformed";
         std::string extra;
         if (pdu->type == AdvPduType::kConnectReq) extra = connect_req_detail(*pdu);
@@ -83,7 +83,7 @@ std::string describe_frame(BytesView bytes) {
         return buf;
     }
 
-    const auto pdu = DataPdu::parse(raw->pdu);
+    const auto pdu = DataPduView::parse(raw->pdu);
     if (!pdu) return "DATA malformed";
     std::string detail;
     if (pdu->is_control()) {

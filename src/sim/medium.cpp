@@ -20,7 +20,9 @@ RadioMedium::RadioMedium(Scheduler& scheduler, Rng rng, PathLossModel path_loss,
       rng_(rng),
       path_loss_(std::move(path_loss)),
       capture_(capture),
-      params_(params) {}
+      params_(params),
+      noise_mw_(dbm_to_mw(params_.noise_floor_dbm)),
+      noise_dbm_(mw_to_dbm(noise_mw_)) {}
 
 void RadioMedium::attach(RadioDevice& device) {
     devices_.push_back(&device);
@@ -115,7 +117,18 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     device.transmitting_ = true;
 
     const std::uint64_t id = next_tx_id_++;
-    Transmission& stored = active_.try_emplace(id).first->second;
+    // Ids are monotonic, so the end of the map is the insertion point.
+    ActiveMap::iterator slot;
+    if (spare_tx_.empty()) {
+        slot = active_.try_emplace(active_.end(), id);
+    } else {
+        ActiveMap::node_type node = std::move(spare_tx_.back());
+        spare_tx_.pop_back();
+        node.key() = id;
+        node.mapped().rx_power_dbm.clear();
+        slot = active_.insert(active_.end(), std::move(node));
+    }
+    Transmission& stored = slot->second;
     stored.id = id;
     stored.sender = &device;
     stored.channel = channel;
@@ -194,7 +207,6 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     static thread_local obs::prof::SpanSite prof_site{"medium.deliver"};
     obs::prof::Span prof_span(prof_site);
     const double signal_dbm = rx_power_dbm(tx, receiver);
-    const double noise_mw = dbm_to_mw(params_.noise_floor_dbm);
 
     // Collect interferers overlapping this frame at this receiver. The
     // carrier-phase alignment between two unsynchronised transmitters rotates
@@ -232,8 +244,7 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     // neutral phase: the same SIR and the same probability for every such
     // byte of this delivery, so it is computed once.  Each byte still draws
     // its own uniform, which keeps the RNG stream of the per-byte model.
-    const double p_noise_only =
-        capture_.byte_corruption_prob(signal_dbm - mw_to_dbm(noise_mw), 0.5);
+    const double p_noise_only = capture_.byte_corruption_prob(signal_dbm - noise_dbm_, 0.5);
 
     Bytes bytes = pool_.acquire_copy(tx.frame.bytes);
     bool corrupted = false;
@@ -245,7 +256,7 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
             const TimePoint byte_start = tx.start + tx.frame.preamble_time +
                                          static_cast<Duration>(i) * tx.frame.byte_time;
             const TimePoint byte_end = byte_start + tx.frame.byte_time;
-            double interference_mw = noise_mw;
+            double interference_mw = noise_mw_;
             double phase = 0.5;  // neutral when only noise is present
             bool overlapped = false;
             for (const auto& intf : interferers) {
@@ -318,7 +329,7 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
 
 void RadioMedium::collect_garbage() {
     // Keep records around briefly so frames that overlapped them can still
-    // account for their interference, then reclaim map entry, per-channel
+    // account for their interference, then reclaim map node, per-channel
     // slot, and payload buffer together.
     const TimePoint now = scheduler_.now();
     const TimePoint horizon = now - 10_ms;
@@ -327,7 +338,7 @@ void RadioMedium::collect_garbage() {
         if (tx.end <= now && tx.end < horizon) {
             channel_active_[tx.channel].erase_value(&tx);
             pool_.release(std::move(tx.frame.bytes));
-            it = active_.erase(it);
+            spare_tx_.push_back(active_.extract(it++));
         } else {
             ++it;
         }

@@ -143,7 +143,9 @@ public:
         return listeners_[channel];
     }
 
-    /// The payload-buffer freelist (delivery copies + retired frames; tests).
+    /// The frame-buffer freelist: transmitters build frames in its buffers,
+    /// deliveries copy into them, and retired frames and copies return to it.
+    [[nodiscard]] BufferPool& frame_pool() noexcept { return pool_; }
     [[nodiscard]] const BufferPool& frame_pool() const noexcept { return pool_; }
 
     /// The per-world observation stream.  The medium emits obs::TxStart for
@@ -164,7 +166,8 @@ private:
         double dbm;
     };
 
-    /// Built in place in `active_` (the inline memo is not movable).
+    /// Built in place in `active_` (the inline memo is not movable) and
+    /// recycled with its map node (see spare_tx_).
     struct Transmission {
         std::uint64_t id = 0;
         RadioDevice* sender = nullptr;
@@ -191,6 +194,11 @@ private:
     PathLossModel path_loss_;
     CaptureModel capture_;
     MediumParams params_;
+    /// The noise floor in mW, and back in dBm (the round trip, not the
+    /// parameter, is what the corruption model has always used): constants
+    /// of the medium, computed once instead of per delivery.
+    double noise_mw_;
+    double noise_dbm_;
     obs::EventBus bus_;
 
     std::uint64_t next_tx_id_ = 1;
@@ -208,7 +216,12 @@ private:
     /// FP additions, order-sensitive — accumulate identically on every run
     /// and platform.  A handful of frames are in flight at once, so the
     /// O(log n) lookup is irrelevant.
-    std::map<std::uint64_t, Transmission> active_;
+    using ActiveMap = std::map<std::uint64_t, Transmission>;
+    ActiveMap active_;
+    /// Map nodes of retired transmissions, reused by transmit(): once a
+    /// world reaches its peak of in-flight records, a frame costs no node
+    /// allocation.  Bounded by that peak, so it lives and dies with the world.
+    std::vector<ActiveMap::node_type> spare_tx_;
     /// Per-channel view of `active_` in the same id order (append-only in id
     /// order; erasure preserves relative order), so interference collection
     /// touches co-channel transmissions only.  Map node addresses are stable.

@@ -38,6 +38,9 @@ public:
     void stop_listening() noexcept { medium_.stop_listening(*this); }
     /// Returns the medium's transmission id (useful to tests).
     std::uint64_t transmit(Channel channel, AirFrame frame);
+    /// An empty buffer from the medium's frame pool to build a frame in;
+    /// transmit() hands it back to the pool once the frame has retired.
+    [[nodiscard]] Bytes frame_buffer() { return medium_.frame_pool().acquire(); }
     [[nodiscard]] bool transmitting() const noexcept { return transmitting_; }
     /// True while locked onto an in-flight frame (sync achieved, end pending).
     [[nodiscard]] bool receiving() const noexcept { return medium_.is_receiving(*this); }

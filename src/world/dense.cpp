@@ -39,6 +39,18 @@ sim::AirFrame crowd_data_frame(Rng& rng, std::uint32_t access_address,
     return phy::make_air_frame(access_address, pdu, crc_init);
 }
 
+/// A copy of the prebuilt `frame` for one transmission by `radio`, its bytes
+/// drawn from the medium's frame pool (which reclaims them when it retires).
+sim::AirFrame pooled_copy(sim::RadioDevice& radio, const sim::AirFrame& frame) {
+    sim::AirFrame copy;
+    copy.bytes = radio.frame_buffer();
+    copy.bytes.assign(frame.bytes.begin(), frame.bytes.end());
+    copy.preamble_time = frame.preamble_time;
+    copy.byte_time = frame.byte_time;
+    copy.sync_bytes = frame.sync_bytes;
+    return copy;
+}
+
 }  // namespace
 
 DenseEnvironment DenseEnvironment::scaled(double factor) const {
@@ -70,7 +82,7 @@ CrowdAdvertiser::CrowdAdvertiser(sim::Scheduler& scheduler, sim::RadioMedium& me
 }
 
 void CrowdAdvertiser::advertise() {
-    (void)transmit(kAdvChannels[channel_index_], frame_);
+    (void)transmit(kAdvChannels[channel_index_], pooled_copy(*this, frame_));
     channel_index_ = (channel_index_ + 1) % 3;
     // Fixed interval plus the spec's 0..10 ms pseudo-random advDelay.
     const Duration delay =
@@ -136,10 +148,14 @@ void CrowdConnection::connection_event() {
     // T_IFS after the master's frame ends — scheduled, not rx-triggered, so
     // the cadence survives collisions (crowd links need no supervision).
     slave_->listen(channel);
-    if (!master_->transmitting()) (void)master_->transmit(channel, master_frame_);
+    if (!master_->transmitting()) {
+        (void)master_->transmit(channel, pooled_copy(*master_, master_frame_));
+    }
     reply_timer_ = scheduler_.schedule_after(
         master_frame_.duration() + kTifs, [this, channel] {
-            if (!slave_->transmitting()) (void)slave_->transmit(channel, slave_frame_);
+            if (!slave_->transmitting()) {
+                (void)slave_->transmit(channel, pooled_copy(*slave_, slave_frame_));
+            }
         });
     timer_ = scheduler_.schedule_after(connection_interval(hop_interval_),
                                        [this] { connection_event(); });

@@ -48,7 +48,9 @@ TEST(CampaignWire, ArtifactContentSurvivesArbitraryBytes) {
     artifact.stem = "exp1-seed1025";
     artifact.seed = 1025;
     artifact.success = true;
-    artifact.content = std::string("line1\n\x00\x01\xff\"quoted\"\ttail", 24);
+    // The literal's 22 characters, embedded NUL included (not its terminator).
+    static constexpr char kContent[] = "line1\n\x00\x01\xff\"quoted\"\ttail";
+    artifact.content = std::string(kContent, sizeof kContent - 1);
     const WireMessage message = decode_one(encode_artifact(5, artifact));
     EXPECT_EQ(message.type, WireType::kArtifact);
     EXPECT_EQ(message.artifact.kind, artifact.kind);

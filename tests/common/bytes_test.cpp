@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.hpp"
 
 namespace ble {
@@ -44,8 +46,14 @@ TEST(ByteReaderTest, OverrunSetsFailedAndReturnsNullopt) {
 TEST(ByteReaderTest, ReadBytesAndRest) {
     const Bytes data{1, 2, 3, 4, 5};
     ByteReader r(data);
-    EXPECT_EQ(r.read_bytes(2), (Bytes{1, 2}));
-    EXPECT_EQ(r.read_rest(), (Bytes{3, 4, 5}));
+    const auto head = r.read_bytes(2);
+    ASSERT_TRUE(head.has_value());
+    EXPECT_TRUE(std::ranges::equal(*head, Bytes{1, 2}));
+    const BytesView rest = r.read_rest();
+    EXPECT_TRUE(std::ranges::equal(rest, Bytes{3, 4, 5}));
+    // Views borrow the reader's buffer: nothing is copied.
+    EXPECT_EQ(head->data(), data.data());
+    EXPECT_EQ(rest.data(), data.data() + 2);
     EXPECT_EQ(r.remaining(), 0u);
 }
 

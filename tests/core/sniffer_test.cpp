@@ -37,7 +37,7 @@ TEST(AdvSnifferTest, ReportsAdvertisements) {
     AttackWorld world;
     AdvSniffer sniffer(*world.attacker);
     int advs = 0;
-    sniffer.on_advertisement = [&](const link::AdvPdu& pdu, TimePoint, std::uint8_t) {
+    sniffer.on_advertisement = [&](const link::AdvPduView& pdu, TimePoint, std::uint8_t) {
         if (pdu.type == link::AdvPduType::kAdvInd) ++advs;
     };
     sniffer.start();

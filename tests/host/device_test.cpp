@@ -77,7 +77,7 @@ TEST(DeviceTest, ScannerSeesAdvertisements) {
     auto scanner = bed.make("scan", {1, 0});
     int seen = 0;
     std::optional<std::string> name;
-    scanner->start_scanning([&](const AdvPdu& pdu, TimePoint, double rssi, sim::Channel) {
+    scanner->start_scanning([&](const AdvPduView& pdu, TimePoint, double rssi, sim::Channel) {
         if (pdu.type != AdvPduType::kAdvInd) return;
         ++seen;
         EXPECT_LT(rssi, 0.0);
@@ -96,7 +96,7 @@ TEST(DeviceTest, StopScanningStops) {
     auto scanner = bed.make("scan", {1, 0});
     int seen = 0;
     scanner->start_scanning(
-        [&](const AdvPdu&, TimePoint, double, sim::Channel) { ++seen; });
+        [&](const AdvPduView&, TimePoint, double, sim::Channel) { ++seen; });
     advertiser->start_advertising(make_adv_name("dut"));
     bed.run_for(500_ms);
     scanner->stop_scanning();
@@ -114,7 +114,7 @@ TEST(DeviceTest, ScanResponseDelivered) {
 
     std::optional<std::string> scan_rsp_name;
     std::optional<TimePoint> adv_end;
-    scanner->start_scanning([&](const AdvPdu& pdu, TimePoint end, double, sim::Channel ch) {
+    scanner->start_scanning([&](const AdvPduView& pdu, TimePoint end, double, sim::Channel ch) {
         if (pdu.type == AdvPduType::kAdvInd && !adv_end) {
             adv_end = end;
             // Issue a SCAN_REQ by hand, T_IFS after the ADV_IND.

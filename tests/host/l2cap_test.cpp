@@ -14,8 +14,8 @@ struct L2capHarness {
               [this](link::Llid llid, Bytes payload) {
                   fragments.push_back({llid, std::move(payload)});
               },
-              [this](std::uint16_t cid, const Bytes& sdu) {
-                  delivered.push_back({cid, sdu});
+              [this](std::uint16_t cid, BytesView sdu) {
+                  delivered.push_back({cid, Bytes(sdu.begin(), sdu.end())});
               }) {}
 
     /// Loops TX fragments back into the receive path.

@@ -30,7 +30,7 @@ struct ConnPair {
         central = bed.make_device("central", {1.0, 0.0});
 
         ConnectionHooks p_hooks;
-        p_hooks.on_data = [this](const DataPdu& pdu) { slave_rx.push_back(pdu); };
+        p_hooks.on_data = [this](const DataPduView& pdu) { slave_rx.push_back(pdu.to_owned()); };
         p_hooks.on_event_closed = [this](const ConnectionEventReport& r) {
             slave_events.push_back(r);
         };
@@ -39,7 +39,7 @@ struct ConnPair {
         peripheral->on_connection_established = [this](Connection& c) { slave = &c; };
 
         ConnectionHooks c_hooks;
-        c_hooks.on_data = [this](const DataPdu& pdu) { master_rx.push_back(pdu); };
+        c_hooks.on_data = [this](const DataPduView& pdu) { master_rx.push_back(pdu.to_owned()); };
         c_hooks.on_event_closed = [this](const ConnectionEventReport& r) {
             master_events.push_back(r);
         };

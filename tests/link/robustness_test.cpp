@@ -52,13 +52,17 @@ struct JammedPair {
                                           jam_cfg, jam_period);
 
         ConnectionHooks p_hooks;
-        p_hooks.on_data = [this](const DataPdu& pdu) { slave_rx.push_back(pdu.payload); };
+        p_hooks.on_data = [this](const DataPduView& pdu) {
+            slave_rx.emplace_back(pdu.payload.begin(), pdu.payload.end());
+        };
         p_hooks.on_disconnected = [this](DisconnectReason) { slave_down = true; };
         peripheral->set_connection_hooks(std::move(p_hooks));
         peripheral->on_connection_established = [this](Connection& c) { slave = &c; };
 
         ConnectionHooks c_hooks;
-        c_hooks.on_data = [this](const DataPdu& pdu) { master_rx.push_back(pdu.payload); };
+        c_hooks.on_data = [this](const DataPduView& pdu) {
+            master_rx.emplace_back(pdu.payload.begin(), pdu.payload.end());
+        };
         c_hooks.on_event_closed = [this](const ConnectionEventReport& r) {
             crc_errors += r.crc_errors;
         };
@@ -177,7 +181,9 @@ TEST_P(LatencySweepTest, SlaveLatencySavesListeningWithoutDataLoss) {
     std::vector<Bytes> slave_rx;
     int slave_events = 0;
     ConnectionHooks p_hooks;
-    p_hooks.on_data = [&](const DataPdu& pdu) { slave_rx.push_back(pdu.payload); };
+    p_hooks.on_data = [&](const DataPduView& pdu) {
+        slave_rx.emplace_back(pdu.payload.begin(), pdu.payload.end());
+    };
     p_hooks.on_event_closed = [&](const ConnectionEventReport&) { ++slave_events; };
     peripheral->set_connection_hooks(std::move(p_hooks));
     peripheral->on_connection_established = [&](Connection& c) { slave = &c; };

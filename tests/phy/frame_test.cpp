@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "phy/crc.hpp"
 #include "phy/frame.hpp"
 
@@ -25,7 +27,9 @@ TEST(FrameTest, RoundTripThroughSplit) {
     const auto raw = split_frame(frame.bytes);
     ASSERT_TRUE(raw.has_value());
     EXPECT_EQ(raw->access_address, 0xAF9A9CD4u);
-    EXPECT_EQ(raw->pdu, pdu);
+    EXPECT_TRUE(std::ranges::equal(raw->pdu, pdu));
+    // The PDU is a view into the split buffer, not a copy.
+    EXPECT_EQ(raw->pdu.data(), frame.bytes.data() + 4);
     EXPECT_TRUE(raw->crc_ok(0x555555));
 }
 
@@ -67,7 +71,20 @@ TEST(FrameTest, EmptyPduFrame) {
     EXPECT_EQ(frame.duration(), 80_us);  // 10 bytes at LE 1M
     const auto raw = split_frame(frame.bytes);
     ASSERT_TRUE(raw.has_value());
-    EXPECT_TRUE(raw->pdu == pdu);
+    EXPECT_TRUE(std::ranges::equal(raw->pdu, pdu));
+}
+
+TEST(FrameTest, BufferWriterReusesCapacityAndOverwrites) {
+    // A pooled buffer arrives with stale bytes and spare capacity: the
+    // writer must resize it and overwrite every byte without reallocating.
+    Bytes buffer(64, 0xEE);
+    const std::uint8_t* storage = buffer.data();
+    const Bytes payload{0x01, 0x02, 0x03};
+    const auto frame = make_air_frame(std::move(buffer), 0xAF9A9CD4, {0x0D, 0x03}, payload,
+                                      0x555555);
+    EXPECT_EQ(frame.bytes.data(), storage);
+    const Bytes pdu{0x0D, 0x03, 0x01, 0x02, 0x03};
+    EXPECT_EQ(frame.bytes, make_air_frame(0xAF9A9CD4, pdu, 0x555555).bytes);
 }
 
 }  // namespace

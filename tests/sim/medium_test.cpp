@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <variant>
 #include <tuple>
@@ -386,7 +387,10 @@ TEST_F(MediumFixture, FramePoolRecyclesDeliveryBuffers) {
 // name, payload, RSSI and the corruption flag, in attach/delivery order.
 using DeliveryLog = std::vector<std::tuple<std::string, Bytes, double, bool>>;
 
-DeliveryLog run_contended_scenario(bool legacy_full_scan) {
+/// `move_midway`: after round 20, r2 walks behind a new wall and r6 moves
+/// off-axis — geometry changes after the first transmissions, which any
+/// per-pair memo in the medium must pick up.
+DeliveryLog run_contended_scenario(bool legacy_full_scan, bool move_midway = false) {
     Scheduler scheduler;
     MediumParams params;
     params.legacy_full_scan = legacy_full_scan;
@@ -413,6 +417,11 @@ DeliveryLog run_contended_scenario(bool legacy_full_scan) {
     auto r6 = mk("r6", {0, 1}, 9);
     auto r7 = mk("r7", {2.5, 2}, 10);
     for (int round = 0; round < 40; ++round) {
+        if (move_midway && round == 20) {
+            r2->set_position({2, -3});
+            r6->set_position({-1, 2});
+            medium.path_loss().add_wall(Wall{{-5, -1}, {5, -1}, 9.0});
+        }
         r1->listen(7);
         r2->listen(7);
         r3->listen(7);
@@ -446,6 +455,33 @@ TEST(MediumLegacyScan, IndexedAndLegacyWalksAreBitIdentical) {
     EXPECT_EQ(indexed, legacy);
 }
 
+/// FNV-1a over a delivery log: receiver, payload, RSSI bits, corruption flag.
+std::uint64_t fingerprint(const DeliveryLog& log) {
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
+    };
+    for (const auto& [name, bytes, rssi, corrupted] : log) {
+        mix(name.data(), name.size());
+        mix(bytes.data(), bytes.size());
+        mix(&rssi, sizeof rssi);
+        mix(&corrupted, sizeof corrupted);
+    }
+    return h;
+}
+
+TEST(MediumLegacyScan, GeometryChangeMidRunMatchesGolden) {
+    // set_position and add_wall after the first transmissions: both walks
+    // still agree, and the log equals the golden recorded on the tree
+    // before the frame path was pooled.
+    const DeliveryLog indexed = run_contended_scenario(false, true);
+    const DeliveryLog legacy = run_contended_scenario(true, true);
+    EXPECT_EQ(indexed, legacy);
+    EXPECT_EQ(indexed.size(), 256u);
+    EXPECT_EQ(fingerprint(indexed), 0x91aedc5928459242ull);
+}
+
 // Capture verdicts of a receiver at the edge of range, where the noise
 // floor alone corrupts a byte with probability of order 1e-2, with a weak
 // interferer overlapping part of every fourth frame so that one delivery
@@ -456,20 +492,24 @@ struct NoiseFloorRun {
     std::string verdicts;       ///< one letter per decision: D, C (corrupted), L (lost sync)
 };
 
-NoiseFloorRun run_noise_floor_scenario() {
+/// The first 120 rounds, then (`moved` non-null) 60 more after the receiver
+/// steps closer behind a new wall: a geometry change after the first
+/// transmissions, recorded separately so the original golden is untouched.
+NoiseFloorRun run_noise_floor_scenario(NoiseFloorRun* moved = nullptr) {
     Scheduler scheduler;
     PathLossParams pl;
     pl.fading_sigma_db = 3.0;
     RadioMedium medium(scheduler, Rng(2024), PathLossModel(pl), CaptureModel{}, MediumParams{});
     NoiseFloorRun run;
-    const auto token = medium.bus().subscribe([&run](const obs::Event& event) {
+    NoiseFloorRun* current = &run;
+    const auto token = medium.bus().subscribe([&current](const obs::Event& event) {
         const auto* d = std::get_if<obs::RxDecision>(&event);
         if (d == nullptr) return;
-        ++run.frames;
-        run.corrupted_bytes += d->corrupted_bytes;
-        run.verdicts += d->verdict == obs::RxVerdict::kLostSync             ? 'L'
-                        : d->verdict == obs::RxVerdict::kDeliveredCorrupted ? 'C'
-                                                                             : 'D';
+        ++current->frames;
+        current->corrupted_bytes += d->corrupted_bytes;
+        current->verdicts += d->verdict == obs::RxVerdict::kLostSync             ? 'L'
+                             : d->verdict == obs::RxVerdict::kDeliveredCorrupted ? 'C'
+                                                                                  : 'D';
     });
     auto mk = [&](const std::string& name, Position pos, std::uint64_t seed) {
         RadioDeviceConfig cfg;
@@ -488,6 +528,20 @@ NoiseFloorRun run_noise_floor_scenario() {
         }
         scheduler.run_all();
     }
+    if (moved != nullptr) {
+        current = moved;
+        rx->set_position({150, 20});  // nearer, but behind a 4 dB wall
+        medium.path_loss().add_wall(Wall{{100, -50}, {100, 50}, 4.0});
+        for (int round = 0; round < 60; ++round) {
+            rx->listen(5);
+            tx->transmit(5, test_frame(32, static_cast<std::uint8_t>(round)));
+            if (round % 3 == 0) {
+                (void)scheduler.schedule_after(150'000,
+                                               [&] { jam->transmit(5, test_frame(8, 0xC3)); });
+            }
+            scheduler.run_all();
+        }
+    }
     medium.bus().unsubscribe(token);
     return run;
 }
@@ -501,6 +555,92 @@ TEST(MediumNoiseFloor, EdgeOfRangeVerdictsMatchGolden) {
     EXPECT_EQ(run.verdicts,
               "DDDDCCCDDDDDDDDCDDDDCDCCCDDCCDCDCDDDCDCDDDCDCDDDDDCDDDDDDDDDDDCDCDCCCDDCCDCDCDDC"
               "DCDDDDDDDCDCCDDDCDDDCDCCDDD");
+}
+
+TEST(MediumNoiseFloor, VerdictsAfterGeometryChangeMatchGolden) {
+    // The same run continued past a set_position and an add_wall: the first
+    // phase still matches its golden, and the second phase matches the one
+    // recorded on the tree before the frame path was pooled.
+    NoiseFloorRun moved;
+    const NoiseFloorRun run = run_noise_floor_scenario(&moved);
+    EXPECT_EQ(run.frames, 107);
+    EXPECT_EQ(run.corrupted_bytes, 51);
+    EXPECT_EQ(moved.frames, 54);
+    EXPECT_EQ(moved.corrupted_bytes, 37);
+    EXPECT_EQ(moved.verdicts, "CDDCDCCCCCDDCDDDCCCCCCDCDDDDDDCCDDCDCDCCCDDDDCDDCCCCDC");
+}
+
+/// RxDecisions of one receiver, bit-exact (RSSI compared as a double).
+using DecisionLog = std::vector<std::tuple<obs::RxVerdict, double, int, int>>;
+
+/// Phase 1 at the construction geometry (`start`, `wall_from_start`), then
+/// the receiver moves to `end` and — if not there already — the wall goes
+/// up; phase 2 runs at that final geometry.  Returns each phase's decisions.
+std::pair<DecisionLog, DecisionLog> run_geometry_change(Position start, bool wall_from_start,
+                                                        Position end) {
+    Scheduler scheduler;
+    PathLossParams pl;
+    pl.fading_sigma_db = 3.0;
+    PathLossModel path_loss(pl);
+    const Wall wall{{50, -100}, {50, 100}, 5.0};
+    if (wall_from_start) path_loss.add_wall(wall);
+    RadioMedium medium(scheduler, Rng(77), std::move(path_loss), CaptureModel{}, MediumParams{});
+    std::pair<DecisionLog, DecisionLog> logs;
+    DecisionLog* current = &logs.first;
+    const auto token = medium.bus().subscribe([&current](const obs::Event& event) {
+        if (const auto* d = std::get_if<obs::RxDecision>(&event)) {
+            current->emplace_back(d->verdict, d->rssi_dbm, d->corrupted_bytes,
+                                  d->sync_bit_errors);
+        }
+    });
+    RadioDeviceConfig tx_cfg;
+    tx_cfg.name = "tx";
+    RadioDeviceConfig rx_cfg;
+    rx_cfg.name = "rx";
+    rx_cfg.position = start;
+    ProbeDevice tx(scheduler, medium, Rng(1), tx_cfg);
+    ProbeDevice rx(scheduler, medium, Rng(2), rx_cfg);
+    auto rounds = [&](int n) {
+        for (int round = 0; round < n; ++round) {
+            rx.listen(11);
+            tx.transmit(11, test_frame(32, static_cast<std::uint8_t>(round)));
+            scheduler.run_all();
+        }
+    };
+    rounds(10);
+    current = &logs.second;
+    rx.set_position(end);
+    if (!wall_from_start) medium.path_loss().add_wall(wall);
+    rounds(80);
+    medium.bus().unsubscribe(token);
+    return logs;
+}
+
+TEST(MediumGeometryChange, VerdictsMatchMediumBuiltWithNewWall) {
+    // Medium A learns its wall after the first transmissions; medium B was
+    // built with it and started the receiver somewhere else.  Phase 1 is
+    // loud in both (every frame clean, so both make the same RNG draws),
+    // hence phase 2 — receiver at the edge of range behind the wall — must
+    // give bit-identical verdicts and RSSIs: nothing the medium derived from
+    // the old geometry (a memoized path loss, say) may survive the change.
+    const auto a = run_geometry_change({1, 0}, false, {180, 0});
+    const auto b = run_geometry_change({3, 2}, true, {180, 0});
+    ASSERT_EQ(a.first.size(), 10u);
+    ASSERT_EQ(b.first.size(), 10u);
+    for (const auto& phase1 : {a.first, b.first}) {
+        for (const auto& [verdict, rssi, corrupted, sync_errors] : phase1) {
+            ASSERT_EQ(verdict, obs::RxVerdict::kDelivered);
+        }
+    }
+    EXPECT_NE(a.first, b.first);  // different start geometry, different RSSI
+    EXPECT_EQ(a.second, b.second);
+    // The edge of range is where a stale loss would show: clean and
+    // corrupted deliveries, and frames that fall below sensitivity.
+    std::set<obs::RxVerdict> seen;
+    for (const auto& decision : a.second) seen.insert(std::get<0>(decision));
+    EXPECT_TRUE(seen.contains(obs::RxVerdict::kDelivered));
+    EXPECT_TRUE(seen.contains(obs::RxVerdict::kDeliveredCorrupted));
+    EXPECT_LT(a.second.size(), 80u);
 }
 
 }  // namespace
