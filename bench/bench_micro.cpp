@@ -453,25 +453,21 @@ void BM_InjectionTrialProfiledReused(benchmark::State& state) {
 BENCHMARK(BM_InjectionTrialProfiledReused);
 
 // ---------------------------------------------------------------------------
-// Crowded-spectrum engine (DESIGN.md §10).  BM_DenseWorldTransmit* is the
-// honest A/B for the per-channel medium indexes: the same stadium-mix world
-// scaled to N devices, pumped for one second of crowd traffic, with and
-// without MediumParams::legacy_full_scan (the pre-refactor all-device /
-// all-transmission walks).  Both paths are bit-identical by construction, so
-// the ratio is pure index win.  CI records these in BENCH_micro.json.
+// Crowded-spectrum engine (DESIGN.md §10).  BM_DenseWorldTransmit: the
+// stadium-mix world scaled to N devices, pumped for one second of crowd
+// traffic.  CI records these in BENCH_micro.json.
 
-injectable::world::WorldSpec dense_bench_spec(std::int64_t devices, bool legacy) {
+injectable::world::WorldSpec dense_bench_spec(std::int64_t devices) {
     // Scale the stadium mix (580 devices at x1.0) to the requested count.
     auto spec = injectable::world::WorldSpec::stadium();
     spec.dense = spec.dense.scaled(static_cast<double>(devices) /
                                    static_cast<double>(spec.dense.device_count()));
-    spec.medium_legacy_full_scan = legacy;
     spec.master_traffic_every_events = 0;  // crowd traffic only
     return spec;
 }
 
-void dense_world_pump(benchmark::State& state, bool legacy) {
-    const auto spec = dense_bench_spec(state.range(0), legacy);
+void BM_DenseWorldTransmit(benchmark::State& state) {
+    const auto spec = dense_bench_spec(state.range(0));
     for (auto _ : state) {
         injectable::world::World world(spec, 42);
         world.run_for(seconds(1));
@@ -479,15 +475,12 @@ void dense_world_pump(benchmark::State& state, bool legacy) {
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+BENCHMARK(BM_DenseWorldTransmit)->Arg(100)->Arg(500)->Arg(1000)->Unit(benchmark::kMillisecond);
 
-// The isolated A/B for the ≥5x acceptance claim: the pre-refactor medium
-// walked EVERY attached device on every transmit (lock walk) and again on
-// every finish (locked-receiver snapshot), listening or not.  Attach N idle
-// crowd devices — the realistic dense case: most radios are not tuned to the
-// transmit channel at any instant — and time one transmission end to end.
-// The legacy variant pays 2xN pointer-chasing visits per frame; the indexed
-// variant walks the (empty) per-channel interest list.  Everything else
-// (scheduler dispatch, frame bookkeeping, GC) is identical by construction.
+// One transmission end to end with N idle crowd devices attached — the
+// realistic dense case: most radios are not tuned to the transmit channel
+// at any instant, so the medium walks an (empty) per-channel interest list
+// where it once walked every attached device.
 
 class IdleDevice final : public sim::RadioDevice {
 public:
@@ -495,14 +488,11 @@ public:
     void on_rx(const sim::RxFrame&) override {}
 };
 
-void dense_medium_walk(benchmark::State& state, bool legacy) {
+void BM_DenseWorldMediumWalk(benchmark::State& state) {
     sim::Scheduler scheduler;
-    sim::MediumParams params;
-    params.legacy_full_scan = legacy;
     sim::PathLossParams pl;
     pl.fading_sigma_db = 0.0;
-    sim::RadioMedium medium(scheduler, Rng(5), sim::PathLossModel(pl),
-                            sim::CaptureModel{}, params);
+    sim::RadioMedium medium(scheduler, Rng(5), sim::PathLossModel(pl), sim::CaptureModel{});
     const auto n = static_cast<std::size_t>(state.range(0));
     std::vector<std::unique_ptr<IdleDevice>> crowd;
     crowd.reserve(n + 1);
@@ -516,33 +506,14 @@ void dense_medium_walk(benchmark::State& state, bool legacy) {
     frame.bytes = Bytes(4, 0xA5);
     for (auto _ : state) {
         crowd[0]->transmit(7, frame);
-        // Run well past the frame plus the GC horizon so active_ stays tiny:
-        // what remains is the per-transmission walk cost under test.
+        // Run well past the frame plus the retention horizon so the held
+        // records stay few: what remains is the per-transmission walk cost.
         scheduler.run_for(milliseconds(20));
     }
     benchmark::DoNotOptimize(medium.active_transmissions());
     state.SetItemsProcessed(state.iterations());
 }
-
-void BM_DenseWorldMediumWalk(benchmark::State& state) { dense_medium_walk(state, false); }
 BENCHMARK(BM_DenseWorldMediumWalk)->Arg(100)->Arg(500)->Arg(1000);
-
-void BM_DenseWorldMediumWalkLegacyScan(benchmark::State& state) {
-    dense_medium_walk(state, true);
-}
-BENCHMARK(BM_DenseWorldMediumWalkLegacyScan)->Arg(100)->Arg(500)->Arg(1000);
-
-void BM_DenseWorldTransmit(benchmark::State& state) { dense_world_pump(state, false); }
-BENCHMARK(BM_DenseWorldTransmit)->Arg(100)->Arg(500)->Arg(1000)->Unit(benchmark::kMillisecond);
-
-void BM_DenseWorldTransmitLegacyScan(benchmark::State& state) {
-    dense_world_pump(state, true);
-}
-BENCHMARK(BM_DenseWorldTransmitLegacyScan)
-    ->Arg(100)
-    ->Arg(500)
-    ->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_DenseWorldTrial(benchmark::State& state) {
     // A full injection trial inside a busy office: the end-to-end cost of

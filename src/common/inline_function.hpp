@@ -1,8 +1,8 @@
 // Move-only type-erased callable with inline storage.
 //
 // std::function keeps only 16 bytes inline (libstdc++), so nearly every
-// scheduler callback — a lambda capturing `this`, an id and a weak_ptr
-// liveness guard — costs a heap allocation on schedule and a free on fire.
+// scheduler callback — a lambda capturing `this`, an id and a liveness
+// watch — costs a heap allocation on schedule and a free on fire.
 // InlineFunction keeps callables of up to kCapacity bytes inside the
 // object and falls back to one heap block only for larger ones, so the
 // scheduler's event nodes (which live in a recycling arena) carry their
@@ -26,7 +26,7 @@ class InlineFunction;
 template <typename R, typename... Args>
 class InlineFunction<R(Args...)> {
 public:
-    /// Inline buffer size: a `this` pointer, a weak_ptr guard and a few
+    /// Inline buffer size: a `this` pointer, a liveness watch and a few
     /// scalars or a std::function fit.
     static constexpr std::size_t kCapacity = 64;
 

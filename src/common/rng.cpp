@@ -13,25 +13,11 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
 }
-
-std::uint64_t rotl(std::uint64_t x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
     std::uint64_t x = seed;
     for (auto& word : s_) word = splitmix64(x);
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
@@ -41,11 +27,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
     std::uint64_t v = next_u64();
     while (v >= limit) v = next_u64();
     return v % bound;
-}
-
-double Rng::next_double() noexcept {
-    // 53 high-quality bits -> [0, 1).
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept { return lo + (hi - lo) * next_double(); }

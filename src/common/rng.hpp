@@ -17,14 +17,25 @@ public:
     /// xoshiro authors' recommendation (never yields the all-zero state).
     explicit Rng(std::uint64_t seed) noexcept;
 
-    /// Uniform 64-bit value.
-    std::uint64_t next_u64() noexcept;
+    /// Uniform 64-bit value (xoshiro256**).  Inline, with next_double: the
+    /// medium draws one per received byte.
+    std::uint64_t next_u64() noexcept {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /// Uniform in [0, bound) without modulo bias (rejection sampling).
     std::uint64_t next_below(std::uint64_t bound) noexcept;
 
-    /// Uniform double in [0, 1).
-    double next_double() noexcept;
+    /// Uniform double in [0, 1): 53 high-quality bits.
+    double next_double() noexcept { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
     /// Uniform double in [lo, hi).
     double uniform(double lo, double hi) noexcept;
@@ -39,6 +50,10 @@ public:
     Rng fork() noexcept;
 
 private:
+    static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

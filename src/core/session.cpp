@@ -74,7 +74,7 @@ void AttackSession::start() {
 
 void AttackSession::stop() {
     running_ = false;
-    alive_ = std::make_shared<char>(0);  // invalidates all pending callbacks
+    alive_.renew();  // invalidates all pending callbacks
     if (timer_ != sim::kInvalidEvent) {
         radio_.scheduler().cancel(timer_);
         timer_ = sim::kInvalidEvent;

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 
+#include "common/liveness.hpp"
 #include "core/attacker_radio.hpp"
 #include "core/heuristic.hpp"
 #include "link/adv_pdu.hpp"
@@ -204,7 +205,7 @@ private:
     ble::TimePoint predicted_anchor_ = 0;
     int missed_events_ = 0;
     ble::sim::EventId timer_ = ble::sim::kInvalidEvent;
-    std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+    ble::LivenessToken alive_;
 
     // Flow-control knowledge (Eq. 6 inputs).
     std::optional<std::pair<bool, bool>> slave_bits_;
@@ -235,8 +236,8 @@ private:
     template <typename F>
     ble::sim::EventId guarded_at(ble::TimePoint t, F&& fn) {
         return radio_.scheduler().schedule_at(
-            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
-                if (!alive.expired()) fn();
+            t, [alive = alive_.watch(), fn = std::forward<F>(fn)] {
+                if (alive.alive()) fn();
             });
     }
 };

@@ -37,7 +37,7 @@ void AdvSniffer::stop() {
     if (!running_) return;  // idempotent: a later stop (e.g. the destructor)
                             // must not clobber handlers rebound by others
     running_ = false;
-    alive_ = std::make_shared<char>(0);
+    alive_.renew();
     if (timer_ != sim::kInvalidEvent) {
         radio_.scheduler().cancel(timer_);
         timer_ = sim::kInvalidEvent;
@@ -49,8 +49,8 @@ void AdvSniffer::stop() {
 void AdvSniffer::rearm_home_channel() {
     if (timer_ != sim::kInvalidEvent) radio_.scheduler().cancel(timer_);
     timer_ = radio_.scheduler().schedule_after(
-        kFollowTimeout, [alive = std::weak_ptr<char>(alive_), this] {
-            if (!alive.lock() || !running_) return;
+        kFollowTimeout, [alive = alive_.watch(), this] {
+            if (!alive.alive() || !running_) return;
             channel_index_ = 0;
             radio_.listen(kAdvChannels[0]);
             rearm_home_channel();
@@ -89,11 +89,11 @@ void AdvSniffer::handle_rx(const sim::RxFrame& frame) {
         // it is the packet we are hunting.
         channel_index_ = (channel_index_ + 1) % 3;
         const sim::Channel next = kAdvChannels[channel_index_];
-        // injectable-lint: allow(D4) -- weak-ptr alive guard inside the lambda
+        // injectable-lint: allow(D4) -- liveness guard inside the lambda
         (void)radio_.scheduler().schedule_at(
             frame.end + kTifs + 20_us,
-            [alive = std::weak_ptr<char>(alive_), this, next] {
-                if (!alive.lock() || !running_) return;
+            [alive = alive_.watch(), this, next] {
+                if (!alive.alive() || !running_) return;
                 if (!radio_.receiving()) radio_.listen(next);
             });
         rearm_home_channel();

@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 
+#include "common/liveness.hpp"
 #include "core/attacker_radio.hpp"
 #include "core/session.hpp"
 #include "link/adv_pdu.hpp"
@@ -48,7 +49,7 @@ private:
     bool running_ = false;
     std::uint8_t channel_index_ = 0;  // 0..2 -> 37..39
     ble::sim::EventId timer_ = ble::sim::kInvalidEvent;
-    std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+    ble::LivenessToken alive_;
 };
 
 /// Parameter recovery for an already-established connection. Limitations

@@ -26,6 +26,7 @@
 #include <string_view>
 
 #include "common/bytes.hpp"
+#include "common/liveness.hpp"
 #include "common/time.hpp"
 #include "link/adv_pdu.hpp"
 #include "obs/event.hpp"
@@ -214,8 +215,8 @@ private:
     template <typename F>
     sim::EventId guarded_at(TimePoint t, F&& fn) {
         return radio_.scheduler().schedule_at(
-            t, [alive = std::weak_ptr<char>(alive_), fn = std::forward<F>(fn)] {
-                if (!alive.expired()) fn();
+            t, [alive = alive_.watch(), fn = std::forward<F>(fn)] {
+                if (alive.alive()) fn();
             });
     }
     template <typename F>
@@ -227,7 +228,7 @@ private:
     ConnectionConfig config_;
     ConnectionHooks hooks_;
     std::shared_ptr<LinkCrypto> crypto_;
-    std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+    LivenessToken alive_;
 
     State state_ = State::kIdle;
     bool closed_ = false;

@@ -1,6 +1,7 @@
 #include "sim/medium.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/log.hpp"
@@ -12,6 +13,15 @@ namespace ble::sim {
 namespace {
 double dbm_to_mw(double dbm) noexcept { return std::pow(10.0, dbm / 10.0); }
 double mw_to_dbm(double mw) noexcept { return 10.0 * std::log10(mw); }
+
+/// Records ended longer ago than this retire: long enough for every frame
+/// that overlapped them to have been delivered.
+constexpr Duration kRetention = 10_ms;
+/// Initial ring size; it doubles whenever it fills.
+constexpr std::size_t kInitialRing = 16;
+/// The pair cache's side: n² slots, n the attach count rounded up to a
+/// power of two, at most this (so at most 1024 slots, 48 KiB).
+constexpr std::size_t kMaxPairSide = 32;
 }  // namespace
 
 RadioMedium::RadioMedium(Scheduler& scheduler, Rng rng, PathLossModel path_loss,
@@ -25,18 +35,18 @@ RadioMedium::RadioMedium(Scheduler& scheduler, Rng rng, PathLossModel path_loss,
       noise_dbm_(mw_to_dbm(noise_mw_)) {}
 
 void RadioMedium::attach(RadioDevice& device) {
-    devices_.push_back(&device);
     device.listen_state_ = ListenState{};
     device.listen_state_.attach_order = next_attach_order_++;
+    pair_side_ = std::min(std::bit_ceil(next_attach_order_), kMaxPairSide);
 }
 
 void RadioMedium::detach(RadioDevice& device) noexcept {
     if (device.listen_state_.active) remove_listener(device, device.listen_state_.channel);
-    std::erase(devices_, &device);
-    // Any in-flight transmission keeps a sender pointer only for exclusion
-    // checks; clear it so a device destroyed mid-frame cannot dangle.
-    for (auto& [id, tx] : active_) {
-        if (tx.sender == &device) tx.sender = nullptr;
+    // A held transmission keeps a sender pointer only for exclusion checks
+    // and power; clear it so a device destroyed mid-frame cannot dangle.
+    for (std::uint64_t id = front_id_; id < next_tx_id_; ++id) {
+        Transmission* tx = find(id);
+        if (tx->sender == &device) tx->sender = nullptr;
     }
 }
 
@@ -93,19 +103,74 @@ void RadioMedium::stop_listening(RadioDevice& device) noexcept {
     state.locked_tx = 0;
 }
 
+std::size_t RadioMedium::pair_slot(const RadioDevice& sender,
+                                   const RadioDevice& receiver) const noexcept {
+    return (sender.listen_state_.attach_order % pair_side_) * pair_side_ +
+           receiver.listen_state_.attach_order % pair_side_;
+}
+
+double RadioMedium::mean_loss_db(const RadioDevice& sender, const RadioDevice& receiver) {
+    if (pair_loss_.size() != pair_side_ * pair_side_) {
+        pair_loss_.assign(pair_side_ * pair_side_, PairLoss{});  // grown by attach: start cold
+    }
+    PairLoss& slot = pair_loss_[pair_slot(sender, receiver)];
+    const Position sp = sender.position();
+    const Position rp = receiver.position();
+    const std::size_t walls = path_loss_.walls().size();
+    // Walls are only ever added, so their count versions the wall set.
+    if (slot.walls != walls || slot.sender_pos.x != sp.x || slot.sender_pos.y != sp.y ||
+        slot.receiver_pos.x != rp.x || slot.receiver_pos.y != rp.y) {
+        slot = PairLoss{sp, rp, walls, path_loss_.mean_loss_db(sp, rp)};
+    }
+    return slot.mean_db;
+}
+
 double RadioMedium::rx_power_dbm(Transmission& tx, const RadioDevice& receiver) {
     for (const RxPower& memo : tx.rx_power_dbm) {
         if (memo.receiver == &receiver) return memo.dbm;
     }
     // One fading draw per (frame, receiver): channel hopping decorrelates
-    // consecutive frames, so each frame sees a fresh fade.
+    // consecutive frames, so each frame sees a fresh fade around the mean
+    // loss (PathLossModel::sample_loss_db, with the mean cached per pair).
     const double loss =
         tx.sender == nullptr
             ? 200.0
-            : path_loss_.sample_loss_db(tx.sender->position(), receiver.position(), rng_);
+            : mean_loss_db(*tx.sender, receiver) +
+                  rng_.normal(0.0, path_loss_.params().fading_sigma_db);
     const double power = (tx.sender ? tx.sender->tx_power_dbm() : 0.0) - loss;
     tx.rx_power_dbm.push_back(RxPower{&receiver, power});
     return power;
+}
+
+RadioMedium::Transmission* RadioMedium::find(std::uint64_t tx_id) const noexcept {
+    if (tx_id < front_id_ || tx_id >= next_tx_id_) return nullptr;
+    return ring_[tx_id & (ring_.size() - 1)].get();
+}
+
+RadioMedium::Transmission& RadioMedium::hold(std::uint64_t tx_id) {
+    if (tx_id - front_id_ == ring_.size()) {
+        // Full (or not yet built): double it, re-placing the held records
+        // by their ids.  Records are heap objects, so nothing points into
+        // the ring itself.
+        std::vector<std::unique_ptr<Transmission>> grown(
+            ring_.empty() ? kInitialRing : 2 * ring_.size());
+        for (std::uint64_t id = front_id_; id < tx_id; ++id) {
+            grown[id & (grown.size() - 1)] = std::move(ring_[id & (ring_.size() - 1)]);
+        }
+        ring_ = std::move(grown);
+    }
+    std::unique_ptr<Transmission> record;
+    if (spare_tx_) {
+        record = std::move(spare_tx_);
+        spare_tx_ = std::move(record->next_spare);
+        record->rx_power_dbm.clear();
+    } else {
+        record = std::make_unique<Transmission>();
+    }
+    record->id = tx_id;
+    std::unique_ptr<Transmission>& slot = ring_[tx_id & (ring_.size() - 1)];
+    slot = std::move(record);
+    return *slot;
 }
 
 std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFrame frame) {
@@ -117,19 +182,7 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     device.transmitting_ = true;
 
     const std::uint64_t id = next_tx_id_++;
-    // Ids are monotonic, so the end of the map is the insertion point.
-    ActiveMap::iterator slot;
-    if (spare_tx_.empty()) {
-        slot = active_.try_emplace(active_.end(), id);
-    } else {
-        ActiveMap::node_type node = std::move(spare_tx_.back());
-        spare_tx_.pop_back();
-        node.key() = id;
-        node.mapped().rx_power_dbm.clear();
-        slot = active_.insert(active_.end(), std::move(node));
-    }
-    Transmission& stored = slot->second;
-    stored.id = id;
+    Transmission& stored = hold(id);
     stored.sender = &device;
     stored.channel = channel;
     stored.start = scheduler_.now();
@@ -156,27 +209,13 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     // enough. Listeners already locked on an earlier frame, or that started
     // listening mid-frame, cannot sync (no preamble for them) — the frame
     // only interferes.  The interest list is the attach-order walk filtered
-    // to (active, this channel); the remaining filters match the legacy walk
-    // exactly, so both paths make identical RNG fading draws in identical
-    // order.
-    if (params_.legacy_full_scan) {
-        for (RadioDevice* d : devices_) {
-            if (d == &device) continue;
-            ListenState& state = d->listen_state_;
-            if (!state.active || state.channel != channel || state.locked_tx != 0) continue;
-            if (d->transmitting()) continue;
-            if (rx_power_dbm(stored, *d) >= params_.sensitivity_dbm) {
-                state.locked_tx = id;
-            }
-        }
-    } else {
-        for (RadioDevice* d : listeners_[channel]) {
-            if (d == &device) continue;
-            ListenState& state = d->listen_state_;
-            if (state.locked_tx != 0 || d->transmitting()) continue;
-            if (rx_power_dbm(stored, *d) >= params_.sensitivity_dbm) {
-                state.locked_tx = id;
-            }
+    // to (active, this channel), so fading draws happen in attach order.
+    for (RadioDevice* d : listeners_[channel]) {
+        if (d == &device) continue;
+        ListenState& state = d->listen_state_;
+        if (state.locked_tx != 0 || d->transmitting()) continue;
+        if (rx_power_dbm(stored, *d) >= params_.sensitivity_dbm) {
+            state.locked_tx = id;
         }
     }
 
@@ -214,51 +253,49 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     // difference between the injected and legitimate signals"), with a
     // coherence time on the order of a byte — so the phase lottery is drawn
     // *per byte* below, which is what makes longer overlaps deadlier.
-    // channel_active_ is the id-ordered subsequence of active_ on this
-    // channel, so both paths visit the same interferers in the same order:
-    // same FP accumulation order, same fading draws.
+    // channel_active_ is the id-ordered list of this channel's held records:
+    // interference sums (FP, order-sensitive) and fading draws happen in
+    // start order.  Overlap is tested before any draw, and dead records
+    // (see horizon_) are skipped, so a record held past its retirement
+    // changes nothing.
     struct Interferer {
         const Transmission* tx;
         double power_mw;
     };
     InlineVec<Interferer, 8> interferers;
-    if (params_.legacy_full_scan) {
-        for (auto& [other_id, other] : active_) {
-            if (other_id == tx.id || other.channel != tx.channel) continue;
-            if (other.start >= tx.end || other.end <= tx.start) continue;
-            if (other.sender == &receiver) continue;  // own TX handled by half-duplex
-            interferers.push_back(
-                Interferer{&other, dbm_to_mw(rx_power_dbm(other, receiver))});
-        }
-    } else {
-        for (Transmission* other : channel_active_[tx.channel]) {
-            if (other->id == tx.id) continue;
-            if (other->start >= tx.end || other->end <= tx.start) continue;
-            if (other->sender == &receiver) continue;  // own TX handled by half-duplex
-            interferers.push_back(
-                Interferer{other, dbm_to_mw(rx_power_dbm(*other, receiver))});
-        }
+    for (Transmission* other : channel_active_[tx.channel]) {
+        if (other == &tx) continue;
+        if (other->start >= tx.end || other->end <= tx.start) continue;
+        if (other->end < horizon_) continue;
+        if (other->sender == &receiver) continue;  // own TX handled by half-duplex
+        interferers.push_back(Interferer{other, dbm_to_mw(rx_power_dbm(*other, receiver))});
     }
 
     // A byte no interferer overlaps sees the noise floor alone at the
-    // neutral phase: the same SIR and the same probability for every such
-    // byte of this delivery, so it is computed once.  Each byte still draws
-    // its own uniform, which keeps the RNG stream of the per-byte model.
-    const double p_noise_only = capture_.byte_corruption_prob(signal_dbm - noise_dbm_, 0.5);
+    // neutral phase: the same probability for every such byte, evaluated
+    // at most once and, at a comfortable SIR, only if a uniform falls below
+    // CaptureModel::kLazyBound.  Each byte still draws its own uniform,
+    // which keeps the RNG stream of the per-byte model.
+    NoiseOnlyDecision noise_only(capture_, signal_dbm - noise_dbm_);
+    // Consecutive overlapped bytes with the same interferers sum to the
+    // same interference power: its dBm is computed once per such run.
+    double run_interference_mw = std::numeric_limits<double>::quiet_NaN();
+    double run_interference_dbm = 0.0;
 
-    Bytes bytes = pool_.acquire_copy(tx.frame.bytes);
+    const BytesView sent = tx.frame.bytes;
+    Bytes copy;  // from the pool at the first corrupted byte
     bool corrupted = false;
     int corrupted_bytes = 0;
     int sync_bit_errors = 0;
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        double p_corrupt = p_noise_only;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+        bool corrupt_byte;
+        bool overlapped = false;
+        double interference_mw = noise_mw_;
+        double phase = 0.5;  // neutral when only noise is present
         if (!interferers.empty()) {
             const TimePoint byte_start = tx.start + tx.frame.preamble_time +
                                          static_cast<Duration>(i) * tx.frame.byte_time;
             const TimePoint byte_end = byte_start + tx.frame.byte_time;
-            double interference_mw = noise_mw_;
-            double phase = 0.5;  // neutral when only noise is present
-            bool overlapped = false;
             for (const auto& intf : interferers) {
                 if (intf.tx->start < byte_end && intf.tx->end > byte_start) {
                     interference_mw += intf.power_mw;
@@ -266,14 +303,21 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
                     overlapped = true;
                 }
             }
-            if (overlapped) {
-                const double sir_db = signal_dbm - mw_to_dbm(interference_mw);
-                p_corrupt = capture_.byte_corruption_prob(sir_db, phase);
-            }
         }
-        if (rng_.chance(p_corrupt)) {
+        if (overlapped) {
+            if (interference_mw != run_interference_mw) {
+                run_interference_mw = interference_mw;
+                run_interference_dbm = mw_to_dbm(interference_mw);
+            }
+            const double sir_db = signal_dbm - run_interference_dbm;
+            corrupt_byte = rng_.next_double() < capture_.byte_corruption_prob(sir_db, phase);
+        } else {
+            corrupt_byte = noise_only.corrupts(rng_.next_double());
+        }
+        if (corrupt_byte) {
+            if (!corrupted) copy = pool_.acquire_copy(sent);
             // Flip a random bit: the CRC then fails naturally downstream.
-            bytes[i] ^= static_cast<std::uint8_t>(1u << rng_.next_below(8));
+            copy[i] ^= static_cast<std::uint8_t>(1u << rng_.next_below(8));
             corrupted = true;
             ++corrupted_bytes;
             if (i < tx.frame.sync_bytes) ++sync_bit_errors;
@@ -306,16 +350,18 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
         // The correlator never matched: nothing is delivered, exactly like a
         // real radio that misses the access address.
         BLE_LOG_TRACE("medium: ", receiver.name(), " lost sync on tx ", tx.id);
-        pool_.release(std::move(bytes));
+        if (corrupted) pool_.release(std::move(copy));
         return;
     }
-    // A tolerated near-miss correlation outputs the *matched* sync word.
-    for (std::size_t i = 0; i < tx.frame.sync_bytes && i < bytes.size(); ++i) {
-        bytes[i] = tx.frame.bytes[i];
+    if (corrupted) {
+        // A tolerated near-miss correlation outputs the *matched* sync word.
+        std::copy_n(sent.begin(), std::min(tx.frame.sync_bytes, sent.size()), copy.begin());
     }
 
     RxFrame rx;
-    rx.bytes = std::move(bytes);
+    // Clean: a view of the transmitted frame, which stays put until the
+    // record retires — never during a delivery.
+    rx.bytes = corrupted ? BytesView(copy) : sent;
     rx.start = tx.start;
     rx.end = tx.end;
     rx.channel = tx.channel;
@@ -324,58 +370,52 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     rx.transmission_id = tx.id;
     flush_rx_batch();  // device code runs next: drain buffered verdicts first
     receiver.on_rx(rx);
-    pool_.release(std::move(rx.bytes));  // on_rx sees a const ref; reclaim after
+    if (corrupted) pool_.release(std::move(copy));
 }
 
-void RadioMedium::collect_garbage() {
+void RadioMedium::retire(TimePoint horizon) noexcept {
     // Keep records around briefly so frames that overlapped them can still
-    // account for their interference, then reclaim map node, per-channel
-    // slot, and payload buffer together.
-    const TimePoint now = scheduler_.now();
-    const TimePoint horizon = now - 10_ms;
-    for (auto it = active_.begin(); it != active_.end();) {
-        Transmission& tx = it->second;
-        if (tx.end <= now && tx.end < horizon) {
-            channel_active_[tx.channel].erase_value(&tx);
-            pool_.release(std::move(tx.frame.bytes));
-            spare_tx_.push_back(active_.extract(it++));
-        } else {
-            ++it;
-        }
+    // account for their interference, then reclaim record, per-channel slot
+    // and payload buffer together — oldest first, stopping at the first
+    // record still inside the horizon (see horizon_ for those behind it).
+    horizon_ = horizon;
+    while (front_id_ < next_tx_id_) {
+        std::unique_ptr<Transmission>& slot = ring_[front_id_ & (ring_.size() - 1)];
+        Transmission& tx = *slot;
+        if (tx.end >= horizon) break;
+        // The oldest held record is the first of its channel's list.
+        channel_active_[tx.channel].erase_value(&tx);
+        pool_.release(std::move(tx.frame.bytes));
+        tx.next_spare = std::move(spare_tx_);
+        spare_tx_ = std::move(slot);
+        ++front_id_;
     }
 }
 
 void RadioMedium::finish_transmission(std::uint64_t tx_id) {
     // Deliberately unspanned: trivial bookkeeping whose time reads naturally
     // as sim.dispatch self-time; medium.transmit/deliver carry the profile.
-    auto it = active_.find(tx_id);
-    if (it == active_.end()) return;
-    Transmission& tx = it->second;
+    Transmission* held = find(tx_id);
+    if (held == nullptr) return;
+    Transmission& tx = *held;
 
     RadioDevice* sender = tx.sender;
 
     // Deliver to every receiver locked on this frame. Snapshot first: on_rx
     // handlers may retune radios or start transmissions. Walk in attach
     // order: delivery order decides the rng_ draw order, so heap layout must
-    // never leak into it (the PR 3 regression).  A locked receiver is by
-    // invariant still a member of this channel's interest list (locks are
-    // cleared on any retune/stop), so the filtered walks agree.
+    // never leak into it.  A locked receiver is by invariant still a member
+    // of this channel's interest list (locks are cleared on any
+    // retune/stop), so walking that list finds every one.
     InlineVec<RadioDevice*, 8> locked;
-    if (params_.legacy_full_scan) {
-        for (RadioDevice* device : devices_) {
-            const ListenState& state = device->listen_state_;
-            if (state.active && state.locked_tx == tx_id) locked.push_back(device);
-        }
-    } else {
-        for (RadioDevice* device : listeners_[tx.channel]) {
-            if (device->listen_state_.locked_tx == tx_id) locked.push_back(device);
-        }
+    for (RadioDevice* device : listeners_[tx.channel]) {
+        if (device->listen_state_.locked_tx == tx_id) locked.push_back(device);
     }
     for (RadioDevice* receiver : locked) deliver(tx, *receiver);
     flush_rx_batch();  // trailing lost-sync verdicts with no on_rx after them
 
-    collect_garbage();
-    // NOTE: `tx` may be dangling from here on.
+    retire(scheduler_.now() - kRetention);
+    // NOTE: `tx` may be recycled from here on.
 
     if (sender != nullptr) {
         sender->transmitting_ = false;

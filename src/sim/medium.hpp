@@ -19,8 +19,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <optional>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -62,7 +62,10 @@ struct AirFrame {
 
 /// What a locked receiver gets when the frame ends.
 struct RxFrame {
-    Bytes bytes;  ///< possibly corrupted copy of AirFrame::bytes
+    /// The received bytes, valid only during the on_rx call: a view of the
+    /// transmitted AirFrame::bytes when no byte was corrupted, else of a
+    /// pooled copy carrying the flipped bits.  Copy them to keep them.
+    BytesView bytes;
     TimePoint start = 0;
     TimePoint end = 0;
     Channel channel = 0;
@@ -77,9 +80,9 @@ struct RxFrame {
 };
 
 /// Per-device receiver state.  Lives inside RadioDevice (not in a
-/// medium-side map) so the medium's only iteration surface is `devices_` in
-/// attach order: receiver walk order — which decides RNG draw order — can
-/// never depend on heap layout (the PR 3 determinism bug class).
+/// medium-side map) so the medium walks receivers in attach order, never by
+/// address: receiver walk order — which decides RNG draw order — can never
+/// depend on heap layout.
 struct ListenState {
     Channel channel = 0;
     bool active = false;
@@ -89,6 +92,7 @@ struct ListenState {
     /// The per-channel interest lists sort by it, which makes their walk
     /// order identical to the historical all-device attach-order walk — the
     /// property that keeps RNG draw order (and therefore traces) bit-stable.
+    /// It also keys the medium's mean-path-loss cache.
     std::uint64_t attach_order = 0;
 };
 
@@ -99,12 +103,6 @@ struct MediumParams {
     /// accept an access address with a couple of flipped bits and output the
     /// *matched* pattern). Beyond this, the frame is silently lost.
     int max_sync_bit_errors = 2;
-    /// Disable the per-channel interest/transmission indexes and fall back to
-    /// the pre-refactor all-device / all-transmission walks.  Bit-identical
-    /// results by construction (the indexes are order-preserving caches of
-    /// exactly those walks); exists as the honest A/B baseline for the
-    /// BM_DenseWorld* speedup claim and the equivalence tests.
-    bool legacy_full_scan = false;
 };
 
 class RadioMedium {
@@ -129,8 +127,12 @@ public:
     [[nodiscard]] const MediumParams& params() const noexcept { return params_; }
     [[nodiscard]] Scheduler& scheduler() noexcept { return scheduler_; }
 
-    /// Number of transmissions currently in flight (all channels).
-    [[nodiscard]] std::size_t active_transmissions() const noexcept { return active_.size(); }
+    /// Transmission records the medium holds (all channels): frames in
+    /// flight and those ended less than the retention horizon ago, plus
+    /// any older ones still queued behind a held record.
+    [[nodiscard]] std::size_t active_transmissions() const noexcept {
+        return static_cast<std::size_t>(next_tx_id_ - front_id_);
+    }
 
     /// Per-channel interest list type: inline capacity covers the sparse
     /// common case (a handful of listeners / frames per channel), dense
@@ -144,7 +146,8 @@ public:
     }
 
     /// The frame-buffer freelist: transmitters build frames in its buffers,
-    /// deliveries copy into them, and retired frames and copies return to it.
+    /// corrupted deliveries copy into them, and retired frames and copies
+    /// return to it.
     [[nodiscard]] BufferPool& frame_pool() noexcept { return pool_; }
     [[nodiscard]] const BufferPool& frame_pool() const noexcept { return pool_; }
 
@@ -161,13 +164,15 @@ public:
     void add_tx_observer(TxObserver observer);
 
 private:
+    friend struct MediumTestPeer;  // white-box access for tests/sim
+
     struct RxPower {
         const RadioDevice* receiver;
         double dbm;
     };
 
-    /// Built in place in `active_` (the inline memo is not movable) and
-    /// recycled with its map node (see spare_tx_).
+    /// One transmission, from transmit() until it retires; the heap record
+    /// is then recycled through `spare_tx_` (see retire()).
     struct Transmission {
         std::uint64_t id = 0;
         RadioDevice* sender = nullptr;
@@ -179,15 +184,32 @@ private:
         /// searched linearly: a frame is heard by a handful of receivers, so
         /// the first four pairs live inline and a crowded channel spills once.
         InlineVec<RxPower, 4> rx_power_dbm;
+        /// Freelist link while the record is spare.
+        std::unique_ptr<Transmission> next_spare;
+    };
+
+    /// Mean path loss at the geometry it was computed for: a pure function
+    /// of the two positions and the walls, so it is valid for whichever
+    /// pair hashes here while those match.  An empty slot matches nothing.
+    struct PairLoss {
+        Position sender_pos;
+        Position receiver_pos;
+        std::size_t walls = std::numeric_limits<std::size_t>::max();
+        double mean_db = 0.0;
     };
 
     double rx_power_dbm(Transmission& tx, const RadioDevice& receiver);
+    double mean_loss_db(const RadioDevice& sender, const RadioDevice& receiver);
+    [[nodiscard]] std::size_t pair_slot(const RadioDevice& sender,
+                                        const RadioDevice& receiver) const noexcept;
+    [[nodiscard]] Transmission* find(std::uint64_t tx_id) const noexcept;
+    Transmission& hold(std::uint64_t tx_id);
+    void retire(TimePoint horizon) noexcept;
     void finish_transmission(std::uint64_t tx_id);
     void deliver(Transmission& tx, RadioDevice& receiver);
     void insert_listener(RadioDevice& device, Channel channel);
     void remove_listener(RadioDevice& device, Channel channel) noexcept;
     void flush_rx_batch();
-    void collect_garbage();
 
     Scheduler& scheduler_;
     Rng rng_;
@@ -203,30 +225,35 @@ private:
 
     std::uint64_t next_tx_id_ = 1;
     std::uint64_t next_attach_order_ = 1;
-    /// Attach order: the historical iteration surface for receiver walks,
-    /// still authoritative under legacy_full_scan and for detach bookkeeping.
-    std::vector<RadioDevice*> devices_;
-    /// Per-channel interest lists, sorted by ListenState::attach_order — an
-    /// order-preserving index of `devices_` filtered to (active, channel).
+    /// Per-channel interest lists, sorted by ListenState::attach_order, so
+    /// a walk visits the channel's listeners in attach order — the order
+    /// that decides RNG draw order.
     /// Membership invariant: a device appears in listeners_[c] iff its
     /// listen_state_ is {active, channel == c}; locked_tx != 0 implies
     /// membership (locks are only granted to and cleared with listeners).
     std::array<ListenerList, kNumChannels> listeners_;
-    /// Ordered by transmission id (== start order) so interference sums —
-    /// FP additions, order-sensitive — accumulate identically on every run
-    /// and platform.  A handful of frames are in flight at once, so the
-    /// O(log n) lookup is irrelevant.
-    using ActiveMap = std::map<std::uint64_t, Transmission>;
-    ActiveMap active_;
-    /// Map nodes of retired transmissions, reused by transmit(): once a
-    /// world reaches its peak of in-flight records, a frame costs no node
-    /// allocation.  Bounded by that peak, so it lives and dies with the world.
-    std::vector<ActiveMap::node_type> spare_tx_;
-    /// Per-channel view of `active_` in the same id order (append-only in id
-    /// order; erasure preserves relative order), so interference collection
-    /// touches co-channel transmissions only.  Map node addresses are stable.
+    /// The held records, ids [front_id_, next_tx_id_), record `id` at slot
+    /// `id & (ring_.size() - 1)`: ids are consecutive, so a power-of-two
+    /// ring larger than the held count never collides, and lookup by id is
+    /// one probe.  Records retire from the front only (retire()).
+    std::vector<std::unique_ptr<Transmission>> ring_;
+    std::uint64_t front_id_ = 1;
+    /// Retired records, reused by transmit(): once a world reaches its peak
+    /// of held records, a frame costs no allocation.
+    std::unique_ptr<Transmission> spare_tx_;
+    /// The horizon of the last retire() pass.  A held record that ended
+    /// before it is dead: retire() stopped at a live record ahead of it,
+    /// and every walk skips it, exactly as if it had been reclaimed.
+    TimePoint horizon_ = std::numeric_limits<TimePoint>::min();
+    /// Per-channel view of the held records in id order (append in id
+    /// order, retire from the front), so interference collection touches
+    /// co-channel transmissions only.  Records never move.
     std::array<InlineVec<Transmission*, 4>, kNumChannels> channel_active_;
-    /// Recycles per-delivery payload copies and retired AirFrame payloads.
+    /// Direct-mapped mean-path-loss cache: the pair with attach orders
+    /// (s, r) uses slot (s mod n)·n + (r mod n), n = pair_side_.
+    std::vector<PairLoss> pair_loss_;
+    std::size_t pair_side_ = 0;
+    /// Recycles retired AirFrame payloads and corrupted-delivery copies.
     BufferPool pool_;
     /// Capture verdicts awaiting batched fanout; always flushed before any
     /// device code (on_rx / on_tx_complete) runs, so the views inside the

@@ -53,7 +53,6 @@ sim::RadioWorldSpec WorldSpec::rf() const {
     rf_spec.path_loss.fading_sigma_db = fading_sigma_db;
     rf_spec.walls = walls;
     rf_spec.capture = capture;
-    rf_spec.medium.legacy_full_scan = medium_legacy_full_scan;
     return rf_spec;
 }
 

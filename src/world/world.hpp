@@ -75,10 +75,6 @@ struct WorldSpec {
     // log-normal fading is what re-rolls the collision outcome on every hop.
     double fading_sigma_db = 6.0;
     ble::sim::CaptureParams capture{};
-    /// A/B switch for the medium's per-channel indexes (see
-    /// MediumParams::legacy_full_scan): true re-enables the pre-refactor
-    /// all-device walks.  Bit-identical either way; benches only.
-    bool medium_legacy_full_scan = false;
 
     // Victim-side counter-measure knobs (paper §VIII).
     double widening_scale = 1.0;  ///< 1.0 = spec widening (solution 1 shrinks it)

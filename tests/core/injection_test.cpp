@@ -226,5 +226,49 @@ TEST(InjectionTest, WorksAgainstRecoveredConnection) {
     EXPECT_FALSE(world.bulb.state().powered);
 }
 
+bool attacker_listening(world::World& world) {
+    for (sim::Channel c = 0; c < sim::kNumChannels; ++c) {
+        for (const sim::RadioDevice* d : world.medium.listeners_on(c)) {
+            if (d == world.attacker.get()) return true;
+        }
+    }
+    return false;
+}
+
+TEST(InjectionTest, RestartedSessionIgnoresCallbacksArmedBeforeStop) {
+    // Between two events the session has armed the callback that opens its
+    // next receive window.  stop() then start() re-predicts the anchor from
+    // the capture, drift-free; in this world (seed 2) that window opens
+    // about 20 µs after the one the stale callback would open — so a stale
+    // callback that still ran would show as the radio listening early.
+    world::World world(world::WorldSpec::protocol_test(), 2);
+    const auto sniffed = world.establish_and_sniff(3_s);
+    ASSERT_TRUE(sniffed.has_value());
+    AttackSession session(*world.attacker, *sniffed);
+    session.start();
+    world.run_for(500_ms);
+    const Duration w = session.estimated_widening() + AttackSession::Params{}.listen_margin;
+    auto between_events = [&] {
+        return !attacker_listening(world) &&
+               session.predicted_next_anchor() - w > world.scheduler.now();
+    };
+    ASSERT_TRUE(world.run_until(100_ms, between_events));
+    const TimePoint stale_window = session.predicted_next_anchor() - w;
+
+    session.stop();
+    session.start();
+    // The restart first catches up on the event in progress (its window
+    // already open, then closed as missed), then arms its own next window.
+    ASSERT_TRUE(world.run_until(10_ms, between_events));
+    const TimePoint fresh_window = session.predicted_next_anchor() - w;
+    ASSERT_GT(fresh_window, stale_window);
+    while (world.scheduler.now() < fresh_window && world.scheduler.run_one()) {
+        if (world.scheduler.now() < fresh_window) {
+            ASSERT_FALSE(attacker_listening(world)) << "listening at " << world.scheduler.now();
+        }
+    }
+    EXPECT_TRUE(attacker_listening(world));  // the fresh window did open
+}
+
 }  // namespace
 }  // namespace injectable

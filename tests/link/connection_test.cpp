@@ -284,5 +284,42 @@ TEST(ConnectionTest, WindowWideningGrowsWithMissedEvents) {
                 3 * to_us(one - kWindowWideningConstant), 0.01);
 }
 
+/// A radio that only carries a bare Connection: no device logic.
+class BareRadio : public sim::RadioDevice {
+public:
+    using sim::RadioDevice::RadioDevice;
+    void on_rx(const sim::RxFrame&) override {}
+};
+
+/// Starts a slave Connection on a bare radio — which arms an untracked
+/// "open the receive window" callback besides its window timer — destroys
+/// it right away if asked, and reports whether the radio ever listened.
+bool slave_window_opens(bool destroy_first) {
+    Testbed bed;
+    sim::RadioDeviceConfig cfg;
+    cfg.name = "slave";
+    BareRadio radio(bed.scheduler, bed.medium, bed.rng.fork(), cfg);
+    ConnectionConfig config;
+    config.role = Role::kSlave;
+    config.params = fast_params();
+    auto connection = std::make_unique<Connection>(radio, std::move(config), ConnectionHooks{});
+    connection->start(bed.scheduler.now());
+    if (destroy_first) connection.reset();
+    bool listened = false;
+    while (bed.scheduler.now() < 5_ms && bed.scheduler.run_one()) {
+        for (sim::Channel c = 0; c < sim::kNumChannels; ++c) {
+            for (const sim::RadioDevice* d : bed.medium.listeners_on(c)) {
+                listened |= d == &radio;
+            }
+        }
+    }
+    return listened;
+}
+
+TEST(ConnectionLivenessTest, DestroyedConnectionDropsPendingCallbacks) {
+    EXPECT_TRUE(slave_window_opens(false));  // the callback is really armed
+    EXPECT_FALSE(slave_window_opens(true));
+}
+
 }  // namespace
 }  // namespace ble::link

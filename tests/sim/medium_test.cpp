@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <set>
@@ -12,16 +13,53 @@
 #include "sim/radio_device.hpp"
 
 namespace ble::sim {
+
+/// White-box access to the medium's in-flight ring and pair-loss cache.
+struct MediumTestPeer {
+    static bool holds(const RadioMedium& medium, std::uint64_t tx_id) {
+        return medium.find(tx_id) != nullptr;
+    }
+    static std::size_t ring_size(const RadioMedium& medium) { return medium.ring_.size(); }
+    static void finish(RadioMedium& medium, std::uint64_t tx_id) {
+        medium.finish_transmission(tx_id);
+    }
+    static std::size_t pair_slot(const RadioMedium& medium, const RadioDevice& sender,
+                                 const RadioDevice& receiver) {
+        return medium.pair_slot(sender, receiver);
+    }
+};
+
 namespace {
+
+/// An RxFrame kept past its on_rx call: the bytes copied out of the
+/// medium's buffer, every other field as delivered.
+struct HeardFrame {
+    explicit HeardFrame(const RxFrame& frame)
+        : bytes(frame.bytes.begin(), frame.bytes.end()),
+          start(frame.start),
+          end(frame.end),
+          channel(frame.channel),
+          rssi_dbm(frame.rssi_dbm),
+          corrupted_by_medium(frame.corrupted_by_medium),
+          transmission_id(frame.transmission_id) {}
+
+    Bytes bytes;
+    TimePoint start;
+    TimePoint end;
+    Channel channel;
+    double rssi_dbm;
+    bool corrupted_by_medium;
+    std::uint64_t transmission_id;
+};
 
 /// Records everything it hears.
 class ProbeDevice : public RadioDevice {
 public:
     using RadioDevice::RadioDevice;
-    void on_rx(const RxFrame& frame) override { received.push_back(frame); }
+    void on_rx(const RxFrame& frame) override { received.emplace_back(frame); }
     void on_tx_complete() override { ++tx_done; }
 
-    std::vector<RxFrame> received;
+    std::vector<HeardFrame> received;
     int tx_done = 0;
 };
 
@@ -379,7 +417,7 @@ TEST_F(MediumFixture, FramePoolRecyclesDeliveryBuffers) {
         scheduler.run_for(10_ms);  // frame + GC horizon
     }
     EXPECT_EQ(rx->received.size(), 4u);
-    // Delivery copies (and GC'd payloads) land back in the freelist.
+    // Retired payloads land back in the freelist.
     EXPECT_GE(medium.frame_pool().pooled(), 1u);
 }
 
@@ -388,15 +426,13 @@ TEST_F(MediumFixture, FramePoolRecyclesDeliveryBuffers) {
 using DeliveryLog = std::vector<std::tuple<std::string, Bytes, double, bool>>;
 
 /// `move_midway`: after round 20, r2 walks behind a new wall and r6 moves
-/// off-axis — geometry changes after the first transmissions, which any
-/// per-pair memo in the medium must pick up.
-DeliveryLog run_contended_scenario(bool legacy_full_scan, bool move_midway = false) {
+/// off-axis — geometry changes after the first transmissions, which the
+/// medium's per-pair path-loss cache must pick up.
+DeliveryLog run_contended_scenario(bool move_midway = false) {
     Scheduler scheduler;
-    MediumParams params;
-    params.legacy_full_scan = legacy_full_scan;
     PathLossParams pl;
     pl.fading_sigma_db = 6.0;  // per-listener fading draws exercise RNG order
-    RadioMedium medium(scheduler, Rng(99), PathLossModel(pl), CaptureModel{}, params);
+    RadioMedium medium(scheduler, Rng(99), PathLossModel(pl), CaptureModel{}, MediumParams{});
     auto mk = [&](const std::string& name, Position pos, std::uint64_t seed) {
         RadioDeviceConfig cfg;
         cfg.name = name;
@@ -437,22 +473,11 @@ DeliveryLog run_contended_scenario(bool legacy_full_scan, bool move_midway = fal
     DeliveryLog log;
     for (const ProbeDevice* d :
          {r1.get(), r2.get(), r3.get(), r4.get(), r5.get(), r6.get(), r7.get()}) {
-        for (const RxFrame& f : d->received) {
+        for (const HeardFrame& f : d->received) {
             log.emplace_back(d->name(), f.bytes, f.rssi_dbm, f.corrupted_by_medium);
         }
     }
     return log;
-}
-
-TEST(MediumLegacyScan, IndexedAndLegacyWalksAreBitIdentical) {
-    // The refactor's equivalence claim, executed: the per-channel indexed
-    // walks and the pre-refactor all-device/all-transmission walks make the
-    // same RNG draws in the same order, so a contended multi-channel
-    // scenario delivers bit-identical frames either way.
-    const DeliveryLog indexed = run_contended_scenario(false);
-    const DeliveryLog legacy = run_contended_scenario(true);
-    EXPECT_FALSE(indexed.empty());
-    EXPECT_EQ(indexed, legacy);
 }
 
 /// FNV-1a over a delivery log: receiver, payload, RSSI bits, corruption flag.
@@ -471,15 +496,23 @@ std::uint64_t fingerprint(const DeliveryLog& log) {
     return h;
 }
 
-TEST(MediumLegacyScan, GeometryChangeMidRunMatchesGolden) {
-    // set_position and add_wall after the first transmissions: both walks
-    // still agree, and the log equals the golden recorded on the tree
-    // before the frame path was pooled.
-    const DeliveryLog indexed = run_contended_scenario(false, true);
-    const DeliveryLog legacy = run_contended_scenario(true, true);
-    EXPECT_EQ(indexed, legacy);
-    EXPECT_EQ(indexed.size(), 256u);
-    EXPECT_EQ(fingerprint(indexed), 0x91aedc5928459242ull);
+TEST(MediumContended, DeliveriesMatchGolden) {
+    // A contended multi-channel scenario — per-listener fading, overlapping
+    // frames, spilled interest lists — delivers exactly what the medium
+    // delivered when its per-channel walks were still checked against the
+    // all-device walks (golden recorded on that tree, where both agreed).
+    const DeliveryLog log = run_contended_scenario();
+    EXPECT_EQ(log.size(), 259u);
+    EXPECT_EQ(fingerprint(log), 0x22febd406e48e007ull);
+}
+
+TEST(MediumContended, GeometryChangeMidRunMatchesGolden) {
+    // set_position and add_wall after the first transmissions: the log
+    // equals the golden recorded on the tree before the frame path was
+    // pooled.
+    const DeliveryLog log = run_contended_scenario(true);
+    EXPECT_EQ(log.size(), 256u);
+    EXPECT_EQ(fingerprint(log), 0x91aedc5928459242ull);
 }
 
 // Capture verdicts of a receiver at the edge of range, where the noise
@@ -643,5 +676,343 @@ TEST(MediumGeometryChange, VerdictsMatchMediumBuiltWithNewWall) {
     EXPECT_LT(a.second.size(), 80u);
 }
 
+/// Verdicts of one receiver whose frame two interferers of different
+/// power overlap in three runs — the first alone, both, the second alone —
+/// so one delivery sees three interference levels.
+struct OverlapRun {
+    int frames = 0;
+    int corrupted_bytes = 0;
+    std::string verdicts;  ///< D, C (corrupted), L (lost sync)
+};
+
+OverlapRun run_two_interferer_scenario() {
+    Scheduler scheduler;
+    PathLossParams pl;
+    pl.fading_sigma_db = 3.0;
+    RadioMedium medium(scheduler, Rng(31), PathLossModel(pl), CaptureModel{}, MediumParams{});
+    OverlapRun run;
+    const auto token = medium.bus().subscribe([&run](const obs::Event& event) {
+        const auto* d = std::get_if<obs::RxDecision>(&event);
+        if (d == nullptr) return;
+        ++run.frames;
+        run.corrupted_bytes += d->corrupted_bytes;
+        run.verdicts += d->verdict == obs::RxVerdict::kLostSync             ? 'L'
+                        : d->verdict == obs::RxVerdict::kDeliveredCorrupted ? 'C'
+                                                                             : 'D';
+    });
+    auto mk = [&](const std::string& name, Position pos, std::uint64_t seed) {
+        RadioDeviceConfig cfg;
+        cfg.name = name;
+        cfg.position = pos;
+        return std::make_unique<ProbeDevice>(scheduler, medium, Rng(seed), cfg);
+    };
+    auto tx = mk("tx", {2, 0}, 1);
+    auto rx = mk("rx", {0, 0}, 2);
+    auto jam_a = mk("jam_a", {0, 0.7}, 3);   // ≈10 dB above the signal at rx
+    auto jam_b = mk("jam_b", {-1.2, 0}, 4);  // ≈5 dB above
+    for (int round = 0; round < 150; ++round) {
+        rx->listen(3);
+        tx->transmit(3, test_frame(40, static_cast<std::uint8_t>(round)));
+        (void)scheduler.schedule_after(100'000, [&] { jam_a->transmit(3, test_frame(12)); });
+        (void)scheduler.schedule_after(160'000, [&] { jam_b->transmit(3, test_frame(16)); });
+        scheduler.run_all();
+    }
+    medium.bus().unsubscribe(token);
+    return run;
+}
+
+TEST(MediumOverlapRuns, VerdictsMatchGolden) {
+    // Golden recorded on the tree that computed the interference dBm for
+    // every overlapped byte: computing it once per run of equal power must
+    // reproduce every draw.
+    const OverlapRun run = run_two_interferer_scenario();
+    EXPECT_EQ(run.frames, 150);
+    EXPECT_EQ(run.corrupted_bytes, 1425);
+    EXPECT_EQ(run.verdicts,
+              "CCCCCCCCCCCCCCCDCCCCCCCCCCCCCCCCCCCDCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC"
+              "CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCDCCCCCCCCCCCCCCCCCCCCCCCCCCC");
+}
+
+// --- in-flight ring, zero-copy deliveries, pair-loss cache (DESIGN.md §10) ---
+
+/// A frame whose first four bytes look like a sync word.
+AirFrame sync_frame(std::size_t n, std::uint8_t fill) {
+    AirFrame f = test_frame(n, fill);
+    const std::uint8_t sync[4] = {0xD6, 0xBE, 0x89, 0x8E};
+    std::copy(std::begin(sync), std::end(sync), f.bytes.begin());
+    return f;
+}
+
+/// Whether a 20 ms frame reaches its receiver corrupted when a short,
+/// strong frame overlapped it at 1 ms.  With `retire_pass_in_between`, an
+/// unrelated frame finishes at 12 ms, past the short frame's retention: the
+/// short record stays held behind the long one (the ring's front) but is
+/// dead, so the long frame's delivery no longer counts it — as when records
+/// were reclaimed wherever they sat.
+bool long_frame_corrupted(bool retire_pass_in_between) {
+    Scheduler scheduler;
+    RadioMedium medium(scheduler, Rng(99), PathLossModel(MediumFixture::no_fading()),
+                       CaptureModel{});
+    auto mk = [&](const std::string& name, Position pos) {
+        RadioDeviceConfig cfg;
+        cfg.name = name;
+        cfg.position = pos;
+        return std::make_unique<ProbeDevice>(scheduler, medium, Rng(7), cfg);
+    };
+    auto tx = mk("tx", {0, 0});
+    auto rx = mk("rx", {1, 0});
+    auto jam = mk("jam", {1, 0.1});  // 22 dB louder than tx at rx
+    auto other = mk("other", {50, 50});
+    rx->listen(7);
+    AirFrame long_frame = test_frame(200);
+    long_frame.byte_time = 100_us;
+    const std::uint64_t long_id = tx->transmit(7, std::move(long_frame));
+    std::uint64_t jam_id = 0;
+    (void)scheduler.schedule_at(1_ms, [&] { jam_id = jam->transmit(7, test_frame(16)); });
+    if (retire_pass_in_between) {
+        (void)scheduler.schedule_at(12_ms, [&] { other->transmit(9, test_frame(4)); });
+        (void)scheduler.schedule_at(13_ms, [&] {
+            EXPECT_TRUE(MediumTestPeer::holds(medium, long_id));
+            EXPECT_TRUE(MediumTestPeer::holds(medium, jam_id));  // held, but dead
+            EXPECT_EQ(medium.active_transmissions(), 3u);
+        });
+    }
+    scheduler.run_all();
+    EXPECT_EQ(jam->tx_done, 1);
+    EXPECT_EQ(tx->tx_done, 1);
+    EXPECT_EQ(rx->received.size(), 1u);
+    // A finish 10 ms past the long frame retires everything before it.
+    (void)scheduler.schedule_at(40_ms, [&] { other->transmit(9, test_frame(4)); });
+    scheduler.run_all();
+    EXPECT_EQ(medium.active_transmissions(), 1u);
+    return !rx->received.empty() && rx->received[0].corrupted_by_medium;
+}
+
+TEST(MediumRing, ShortFrameRetiredBehindLongOneStopsInterfering) {
+    EXPECT_FALSE(long_frame_corrupted(true));
+    EXPECT_TRUE(long_frame_corrupted(false));  // the overlap itself is deadly
+}
+
+TEST_F(MediumFixture, RingGrowsPastSixteenConcurrentFrames) {
+    // Twenty frames in flight at once (one per channel, each with its own
+    // listener) overflow the initial 16-slot ring; every finish must still
+    // find its record.  A round's records retire during the next round's
+    // finishes, so two rounds are held at a time: the ring doubles once
+    // more, and the third round reuses the first round's records.
+    constexpr int kFrames = 20;
+    std::vector<std::unique_ptr<ProbeDevice>> senders;
+    std::vector<std::unique_ptr<ProbeDevice>> listeners;
+    for (int i = 0; i < kFrames; ++i) {
+        senders.push_back(make("s" + std::to_string(i), {10.0 * i, 0}));
+        listeners.push_back(make("l" + std::to_string(i), {10.0 * i, 1}));
+    }
+    for (int round = 0; round < 3; ++round) {
+        std::vector<std::uint64_t> ids;
+        for (int i = 0; i < kFrames; ++i) listeners[i]->listen(static_cast<Channel>(i));
+        for (int i = 0; i < kFrames; ++i) {
+            ids.push_back(senders[i]->transmit(static_cast<Channel>(i),
+                                               test_frame(16, static_cast<std::uint8_t>(i))));
+        }
+        const std::size_t held = round == 0 ? 20 : 40;
+        EXPECT_EQ(medium.active_transmissions(), held);
+        EXPECT_EQ(MediumTestPeer::ring_size(medium), round == 0 ? 32u : 64u);
+        scheduler.run_for(20_ms);
+        for (int i = 0; i < kFrames; ++i) {
+            EXPECT_EQ(senders[i]->tx_done, round + 1);
+            ASSERT_EQ(listeners[i]->received.size(), static_cast<std::size_t>(round + 1));
+            const HeardFrame& heard = listeners[i]->received.back();
+            EXPECT_EQ(heard.transmission_id, ids[i]);
+            EXPECT_EQ(heard.bytes, Bytes(16, static_cast<std::uint8_t>(i)));
+        }
+    }
+}
+
+TEST_F(MediumFixture, SenderDetachedMidFrameWhileOthersAreHeld) {
+    auto a = make("a", {0, 0});
+    auto b = make("b", {0.5, 0});
+    auto c = make("c", {5, 5});
+    auto rx = make("rx", {1, 0});
+    rx->listen(7);
+    a->transmit(7, test_frame(30, 0xAA));
+    (void)scheduler.schedule_at(20_us, [&] { b->transmit(7, test_frame(30, 0xBB)); });
+    (void)scheduler.schedule_at(40_us, [&] { c->transmit(3, test_frame(30, 0xCC)); });
+    (void)scheduler.schedule_at(100_us, [&] { b.reset(); });  // mid-frame
+    scheduler.run_all();
+    EXPECT_EQ(a->tx_done, 1);
+    EXPECT_EQ(c->tx_done, 1);
+    // The gone sender's frame carries no power, so it no longer interferes.
+    ASSERT_EQ(rx->received.size(), 1u);
+    EXPECT_EQ(rx->received[0].bytes, Bytes(30, 0xAA));
+    // A new device may reuse b's record once it retires.
+    auto d = make("d", {0.5, 0});
+    (void)scheduler.schedule_at(20_ms, [&] { d->transmit(7, test_frame(4)); });
+    (void)scheduler.schedule_at(40_ms, [&] { d->transmit(7, test_frame(4)); });
+    scheduler.run_all();
+    EXPECT_EQ(d->tx_done, 2);
+    EXPECT_EQ(medium.active_transmissions(), 1u);
+}
+
+TEST_F(MediumFixture, FinishingARetiredIdIsANoOp) {
+    auto tx = make("tx", {0, 0});
+    auto rx = make("rx", {1, 0});
+    rx->listen(7);
+    const std::uint64_t first = tx->transmit(7, test_frame());
+    (void)scheduler.schedule_at(15_ms, [&] {
+        rx->listen(7);
+        tx->transmit(7, test_frame());
+    });
+    scheduler.run_all();
+    ASSERT_FALSE(MediumTestPeer::holds(medium, first));  // retired at the second finish
+    ASSERT_EQ(rx->received.size(), 2u);
+    rx->listen(7);
+    MediumTestPeer::finish(medium, first);
+    MediumTestPeer::finish(medium, first + 100);  // never issued
+    EXPECT_EQ(rx->received.size(), 2u);
+    EXPECT_EQ(tx->tx_done, 2);
+    EXPECT_FALSE(tx->transmitting());
+}
+
+/// Retunes, transmits and makes twenty other radios transmit from inside
+/// on_rx, then checks that the delivered view still reads what was sent.
+class BusyReceiver : public RadioDevice {
+public:
+    using RadioDevice::RadioDevice;
+    void on_rx(const RxFrame& frame) override {
+        const Bytes before(frame.bytes.begin(), frame.bytes.end());
+        listen(9);
+        transmit(11, sync_frame(20, 0x77));
+        for (RadioDevice* helper : helpers) helper->transmit(13, sync_frame(40, 0x99));
+        views_intact = views_intact && Bytes(frame.bytes.begin(), frame.bytes.end()) == before;
+        received.push_back(before);
+    }
+    std::vector<RadioDevice*> helpers;
+    std::vector<Bytes> received;
+    bool views_intact = true;
+};
+
+TEST_F(MediumFixture, ViewSurvivesTransmitAndRetuneInsideOnRx) {
+    auto tx = make("tx", {0, 0});
+    RadioDeviceConfig cfg;
+    cfg.name = "busy";
+    cfg.position = {1, 0};
+    BusyReceiver busy(scheduler, medium, Rng(7), cfg);
+    std::vector<std::unique_ptr<ProbeDevice>> helpers;
+    for (int i = 0; i < 20; ++i) {
+        helpers.push_back(make("h" + std::to_string(i), {100.0 + i, 100}));
+        busy.helpers.push_back(helpers.back().get());
+    }
+    for (int round = 0; round < 4; ++round) {
+        busy.listen(7);
+        tx->transmit(7, sync_frame(24, static_cast<std::uint8_t>(round)));
+        scheduler.run_for(20_ms);  // earlier rounds' records retire: later ones reuse them
+    }
+    ASSERT_EQ(busy.received.size(), 4u);
+    EXPECT_TRUE(busy.views_intact);
+    for (int round = 0; round < 4; ++round) {
+        EXPECT_EQ(busy.received[round], sync_frame(24, static_cast<std::uint8_t>(round)).bytes);
+    }
+}
+
+TEST(MediumCorruptedDelivery, CarriesTheMatchedSyncWord) {
+    // A receiver tolerating any number of sync bit errors, drowned by an
+    // interferer over the whole frame: every delivery is corrupted, the
+    // sync region included, yet delivers the matched sync word.
+    Scheduler scheduler;
+    PathLossParams pl;
+    pl.fading_sigma_db = 0.0;
+    MediumParams params;
+    params.max_sync_bit_errors = 1000;
+    RadioMedium medium(scheduler, Rng(5), PathLossModel(pl), CaptureModel{}, params);
+    int sync_hits = 0;
+    const auto token = medium.bus().subscribe([&](const obs::Event& event) {
+        if (const auto* d = std::get_if<obs::RxDecision>(&event)) {
+            sync_hits += d->sync_bit_errors > 0 ? 1 : 0;
+        }
+    });
+    auto mk = [&](const std::string& name, Position pos) {
+        RadioDeviceConfig cfg;
+        cfg.name = name;
+        cfg.position = pos;
+        return std::make_unique<ProbeDevice>(scheduler, medium, Rng(3), cfg);
+    };
+    auto tx = mk("tx", {0, 0});
+    auto rx = mk("rx", {1, 0});
+    auto jam = mk("jam", {1, 0.1});
+    const AirFrame sent = sync_frame(24, 0x3C);
+    for (int round = 0; round < 10; ++round) {
+        rx->listen(7);
+        tx->transmit(7, sent);
+        (void)scheduler.schedule_after(1_us, [&] { jam->transmit(7, test_frame(40, 0xE1)); });
+        scheduler.run_all();
+    }
+    medium.bus().unsubscribe(token);
+    ASSERT_EQ(rx->received.size(), 10u);
+    EXPECT_EQ(sync_hits, 10);
+    for (const HeardFrame& frame : rx->received) {
+        EXPECT_TRUE(frame.corrupted_by_medium);
+        ASSERT_EQ(frame.bytes.size(), sent.bytes.size());
+        EXPECT_TRUE(
+            std::equal(sent.bytes.begin(), sent.bytes.begin() + 4, frame.bytes.begin()));
+        EXPECT_NE(frame.bytes, sent.bytes);
+    }
+}
+
+TEST_F(MediumFixture, PairsSharingACacheSlotKeepTheirOwnLoss) {
+    // 34 radios: the cache is 32×32, so attach orders 1 and 33 share a row
+    // and the pairs (1 → 2) and (33 → 2) one slot.  Alternating them must
+    // recompute the mean loss each time, never reuse the other pair's.
+    std::vector<std::unique_ptr<ProbeDevice>> radios;
+    for (int i = 0; i < 34; ++i) {
+        radios.push_back(make("r" + std::to_string(i), {3.0 * i, 0.5 * i}));
+    }
+    ProbeDevice& near = *radios[0];
+    ProbeDevice& rx = *radios[1];
+    ProbeDevice& far = *radios[32];
+    ASSERT_EQ(MediumTestPeer::pair_slot(medium, near, rx),
+              MediumTestPeer::pair_slot(medium, far, rx));
+    for (int round = 0; round < 6; ++round) {
+        ProbeDevice& tx = round % 2 == 0 ? near : far;
+        rx.listen(7);
+        tx.transmit(7, test_frame());
+        scheduler.run_all();
+        ASSERT_EQ(rx.received.size(), static_cast<std::size_t>(round + 1));
+        // No fading: the RSSI is exactly minus the mean path loss.
+        EXPECT_EQ(rx.received.back().rssi_dbm,
+                  -medium.path_loss().mean_loss_db(tx.position(), rx.position()));
+    }
+}
+
+TEST_F(MediumFixture, PairLossFollowsSetPositionAndAddWall) {
+    auto tx = make("tx", {0, 0});
+    auto rx = make("rx", {2, 0});
+    auto hear = [&] {
+        rx->listen(7);
+        tx->transmit(7, test_frame());
+        scheduler.run_all();
+        EXPECT_EQ(rx->received.back().rssi_dbm,
+                  -medium.path_loss().mean_loss_db(tx->position(), rx->position()));
+        return rx->received.back().rssi_dbm;
+    };
+    const double at_two = hear();
+    EXPECT_EQ(hear(), at_two);  // cached
+    rx->set_position({2, 0.5});  // one coordinate at a time
+    EXPECT_LT(hear(), at_two);
+    tx->set_position({0, 0.5});
+    EXPECT_EQ(hear(), at_two);
+    tx->set_position({0, 0});
+    rx->set_position({4, 0});
+    const double at_four = hear();
+    EXPECT_LT(at_four, at_two);
+    medium.path_loss().add_wall(Wall{{3, -1}, {3, 1}, 7.0});
+    EXPECT_DOUBLE_EQ(hear(), at_four - 7.0);
+    tx->set_position({3.5, 0});  // both ends now on the same side of the wall
+    EXPECT_GT(hear(), at_two);
+    rx->set_position({2, 0});
+    tx->set_position({0, 0});
+    EXPECT_DOUBLE_EQ(hear(), at_two);
+}
+
 }  // namespace
+
+
 }  // namespace ble::sim

@@ -1,4 +1,4 @@
-// Tier-1 allocation budget of the paper-baseline trial.
+// Tier-1 allocation budgets of the paper-baseline and office-crowd trials.
 //
 // This binary replaces the global allocation functions with counting ones
 // (the same technique as perfbench's alloc_count.cpp), so it is built apart
@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "world/experiment.hpp"
 
@@ -48,37 +50,52 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace injectable::world {
 namespace {
 
-TEST(AllocBudgetTest, PaperBaselineTrialStaysUnderCeiling) {
-    // perfbench's paper_baseline series at seed 1: the Fig. 8 testbed, a
-    // 12-byte LL payload, 1500 attempts, trial seeds (1 << 32) + i.
+/// Allocations per trial over perfbench's first `trials` trials of a
+/// series at seed 1 — a 12-byte LL payload, 1500 attempts, trial seeds
+/// (1 << 32) + i — after one uncounted trial: process-wide one-time state
+/// (profiler call sites, logging) is not a per-trial cost.
+double allocations_per_trial(const std::string& name, WorldSpec world, int trials) {
     ExperimentConfig config;
-    config.name = "paper_baseline";
-    config.world = WorldSpec::paper_baseline();
+    config.name = name;
+    config.world = std::move(world);
     config.ll_payload_size = 12;
     config.max_attempts = 1500;
     config.jobs = 1;
     const std::uint64_t base_seed = std::uint64_t{1} << 32;
-    constexpr int kTrials = 50;
-
-    // One uncounted trial first: process-wide one-time state (profiler call
-    // sites, logging) is not a per-trial cost.
     (void)run_injection_experiment_with_retry(config, base_seed, kSetupRetries);
 
     const std::uint64_t before = g_allocations;
     int successes = 0;
-    for (int i = 0; i < kTrials; ++i) {
+    for (int i = 0; i < trials; ++i) {
         const RunResult result =
             run_injection_experiment_with_retry(config, base_seed + i, kSetupRetries);
         if (result.success) ++successes;
     }
-    const double per_trial = static_cast<double>(g_allocations - before) / kTrials;
+    EXPECT_EQ(successes, trials);  // the trials really ran the attack
+    const double per_trial = static_cast<double>(g_allocations - before) / trials;
+    std::printf("allocations per %s trial: %.2f\n", name.c_str(), per_trial);
+    return per_trial;
+}
 
-    EXPECT_EQ(successes, kTrials);  // the trials really ran the attack
+TEST(AllocBudgetTest, PaperBaselineTrialStaysUnderCeiling) {
+    // perfbench's paper_baseline series: the Fig. 8 testbed.
+    const double per_trial =
+        allocations_per_trial("paper_baseline", WorldSpec::paper_baseline(), 50);
     // Measured 169.2 allocations per trial once the frame path was pooled
-    // (514.1 before); the ceiling leaves under 10% headroom.
+    // (514.1 before), 161.4 with the non-atomic liveness guards; the
+    // ceiling leaves under 10% headroom.
     EXPECT_LE(per_trial, 185.0);
     EXPECT_GT(per_trial, 100.0);  // the counter really counts
-    std::printf("allocations per paper_baseline trial: %.2f\n", per_trial);
+}
+
+TEST(AllocBudgetTest, OfficeCrowdTrialStaysUnderCeiling) {
+    // perfbench's office_crowd series: the office preset's 38 background
+    // radios keep the medium's in-flight ring and pair-loss cache busy.
+    const double per_trial = allocations_per_trial("office_crowd", WorldSpec::office(), 50);
+    // Measured 383.3 allocations per trial with the in-flight ring and the
+    // pair-loss cache; the ceiling leaves under 10% headroom, as above.
+    EXPECT_LE(per_trial, 420.0);
+    EXPECT_GT(per_trial, 100.0);
 }
 
 }  // namespace
