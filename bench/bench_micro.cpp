@@ -14,7 +14,6 @@
 #include "campaign/wire.hpp"
 #include "obs/capture/capture.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof/profiler.hpp"
 #include "obs/sinks.hpp"
 #include "obs/telemetry.hpp"
 #include "phy/crc.hpp"
@@ -213,73 +212,6 @@ void BM_PcapSinkFrame(benchmark::State& state) {
 BENCHMARK(BM_PcapSinkFrame);
 
 // ---------------------------------------------------------------------------
-// Profiler-span overhead (DESIGN.md §9): every instrumented site pays one
-// Span construction per event whether profiling is on or not, so the
-// no-profiler rung must stay near-free and the enabled rung bounds what
-// INJECTABLE_PROF=1 costs a campaign.  CI records these as BENCH_micro.json.
-
-void BM_ProfSpanNoProfiler(benchmark::State& state) {
-    // No Install in scope: the thread-local is null and the Span constructor
-    // short-circuits — the everyone-pays-it path.
-    for (auto _ : state) {
-        obs::prof::Span span("bench.noop");
-        benchmark::DoNotOptimize(&span);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfSpanNoProfiler);
-
-void BM_ProfSpanEnabled(benchmark::State& state) {
-    // The realistic hot path: cached SpanSite ids, Chrome buffering off —
-    // exactly what run_series installs under INJECTABLE_PROF=1 without a
-    // Chrome trace dir.
-    obs::prof::ProfilerParams params;
-    params.chrome_trace = false;
-    obs::prof::Profiler profiler(params);
-    const obs::prof::Install install(&profiler);
-    obs::prof::set_sim_now(1'000'000);
-    static thread_local obs::prof::SpanSite outer_site{"bench.outer"};
-    static thread_local obs::prof::SpanSite inner_site{"bench.inner"};
-    for (auto _ : state) {
-        obs::prof::Span outer(outer_site);
-        obs::prof::Span inner(inner_site);
-        benchmark::DoNotOptimize(&inner);
-    }
-    state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_ProfSpanEnabled);
-
-void BM_ProfSpanNamed(benchmark::State& state) {
-    // Name-lookup slow path (a mutex-guarded global intern per Span) plus
-    // Chrome-event buffering; the delta over BM_ProfSpanEnabled is what a
-    // cached SpanSite saves.  Instrumented hot paths never use this form.
-    obs::prof::Profiler profiler;
-    const obs::prof::Install install(&profiler);
-    obs::prof::set_sim_now(1'000'000);
-    for (auto _ : state) {
-        obs::prof::Span outer("bench.outer");
-        obs::prof::Span inner("bench.inner");
-        benchmark::DoNotOptimize(&inner);
-    }
-    state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_ProfSpanNamed);
-
-void BM_ProfSpanWall(benchmark::State& state) {
-    obs::prof::ProfilerParams params;
-    params.wall_clock = true;
-    obs::prof::Profiler profiler(params);
-    const obs::prof::Install install(&profiler);
-    obs::prof::set_sim_now(1'000'000);
-    for (auto _ : state) {
-        obs::prof::Span span("bench.wall");
-        benchmark::DoNotOptimize(&span);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfSpanWall);
-
-// ---------------------------------------------------------------------------
 // Campaign telemetry (DESIGN.md §12): a worker compacts its merged
 // MetricsSnapshot into the task-end telemetry frame, and every heartbeat
 // pays one frame encode.  Both ride the hot result stream, so their cost
@@ -352,106 +284,6 @@ void BM_TelemetryHeartbeatFrameEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetryHeartbeatFrameEncode);
 
-void BM_SchedulerChurnProfiled(benchmark::State& state) {
-    // BM_SchedulerChurn with a live profiler: the delta over the plain churn
-    // bench is the per-dispatch cost of sim.dispatch span + queue gauge.
-    obs::prof::Profiler profiler;
-    const obs::prof::Install install(&profiler);
-    for (auto _ : state) {
-        sim::Scheduler scheduler;
-        for (int i = 0; i < 1000; ++i) {
-            // injectable-lint: allow(D4) -- churn bench measures the discard path
-            (void)scheduler.schedule_at(i * 10, [] {});
-        }
-        scheduler.run_all();
-        benchmark::DoNotOptimize(scheduler.now());
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SchedulerChurnProfiled);
-
-void BM_InjectionTrialBaseline(benchmark::State& state) {
-    // One full paper-style trial (connect + sniff + inject) with no profiler
-    // installed — the reference for the ≤5% span-overhead budget below.
-    injectable::world::ExperimentConfig config;
-    config.name = "bench-micro-trial";
-    config.max_attempts = 200;
-    std::uint64_t seed = 7000;
-    for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
-        benchmark::DoNotOptimize(result.attempts);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InjectionTrialBaseline);
-
-void BM_CaptureOmniscientTrial(benchmark::State& state) {
-    // The identical trial with an omniscient CaptureSink attached and the
-    // pcap image serialized per trial — what the captures channel
-    // (INJECTABLE_PCAP_DIR) costs end to end.  Acceptance budget: within 3%
-    // of BM_InjectionTrialBaseline; both land in BENCH_micro.json so CI can
-    // diff the ratio across PRs.
-    injectable::world::ExperimentConfig config;
-    config.name = "bench-micro-trial";
-    config.max_attempts = 200;
-    std::shared_ptr<obs::capture::CaptureSink> sink;
-    config.per_trial_sinks = [&sink](obs::EventBus& bus, std::uint64_t) {
-        sink = std::make_shared<obs::capture::CaptureSink>();
-        bus.attach(*sink);
-    };
-    std::uint64_t seed = 7000;
-    for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
-        benchmark::DoNotOptimize(result.attempts);
-        const std::string pcap = sink->pcap_bytes();
-        benchmark::DoNotOptimize(pcap.size());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CaptureOmniscientTrial);
-
-void BM_InjectionTrialProfiled(benchmark::State& state) {
-    // The identical trial with the INJECTABLE_PROF=1 profiler installed
-    // (cached span sites, Chrome buffering off).  The acceptance budget:
-    // this stays within 5% of BM_InjectionTrialBaseline, and both land in
-    // BENCH_micro.json so CI can diff the ratio across PRs.
-    injectable::world::ExperimentConfig config;
-    config.name = "bench-micro-trial";
-    config.max_attempts = 200;
-    std::uint64_t seed = 7000;
-    obs::prof::ProfilerParams params;
-    params.chrome_trace = false;
-    for (auto _ : state) {
-        obs::prof::Profiler profiler(params);
-        const obs::prof::Install install(&profiler);
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
-        benchmark::DoNotOptimize(result.attempts);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InjectionTrialProfiled);
-
-
-void BM_InjectionTrialProfiledReused(benchmark::State& state) {
-    // Same trial with one long-lived profiler across iterations: the delta
-    // against BM_InjectionTrialProfiled is the per-trial construction +
-    // first-use cost, and against the baseline the pure marginal span cost.
-    injectable::world::ExperimentConfig config;
-    config.name = "bench-micro-trial";
-    config.max_attempts = 200;
-    std::uint64_t seed = 7000;
-    obs::prof::ProfilerParams params;
-    params.chrome_trace = false;
-    obs::prof::Profiler profiler(params);
-    const obs::prof::Install install(&profiler);
-    for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
-        benchmark::DoNotOptimize(result.attempts);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InjectionTrialProfiledReused);
-
 // ---------------------------------------------------------------------------
 // Crowded-spectrum engine (DESIGN.md §10).  BM_DenseWorldTransmit: the
 // stadium-mix world scaled to N devices, pumped for one second of crowd
@@ -514,22 +346,6 @@ void BM_DenseWorldMediumWalk(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DenseWorldMediumWalk)->Arg(100)->Arg(500)->Arg(1000);
-
-void BM_DenseWorldTrial(benchmark::State& state) {
-    // A full injection trial inside a busy office: the end-to-end cost of
-    // attacking through a crowd, not just pumping one.
-    injectable::world::ExperimentConfig config;
-    config.name = "bench-dense-trial";
-    config.max_attempts = 200;
-    config.world = injectable::world::WorldSpec::office();
-    std::uint64_t seed = 7500;
-    for (auto _ : state) {
-        const auto result = injectable::world::run_injection_experiment(config, seed++);
-        benchmark::DoNotOptimize(result.attempts);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DenseWorldTrial)->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerCancelChurn(benchmark::State& state) {
     // The calendar queue's O(1) cancel-and-erase path: schedule/cancel pairs

@@ -9,10 +9,11 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <string>
 
 #include "core/forge.hpp"
 #include "link/trace.hpp"
+#include "obs/bus.hpp"
 #include "world/world.hpp"
 
 using namespace ble;
@@ -29,12 +30,21 @@ int main() {
     world::World world(spec);
 
     // INJECTABLE_TRACE=1 prints every frame on the air, Wireshark-style.
-    std::unique_ptr<link::PacketTrace> trace;
+    obs::ScopedSubscription trace;
     if (std::getenv("INJECTABLE_TRACE")) {
-        trace = std::make_unique<link::PacketTrace>(world.medium);
-        trace->on_record = [](const link::TraceRecord& record) {
-            std::printf("%s\n", link::PacketTrace::format(record).c_str());
-        };
+        trace = obs::ScopedSubscription(world.medium.bus(), [](const obs::Event& event) {
+            const auto* tx = std::get_if<obs::TxStart>(&event);
+            if (tx == nullptr) return;
+            std::uint32_t aa = 0;
+            if (tx->bytes.size() >= 4) {
+                for (std::size_t i = 0; i < 4; ++i) {
+                    aa |= static_cast<std::uint32_t>(tx->bytes[i]) << (8 * i);
+                }
+            }
+            const std::string sender(tx->sender);
+            std::printf("%12.3f ms  ch %2u  AA %08x  %-10s  %s\n", to_ms(tx->time), tx->channel,
+                        aa, sender.c_str(), link::describe_frame(tx->bytes).c_str());
+        });
     }
 
     world.bulb.on_change = [&](const gatt::LightbulbProfile::State& s) {

@@ -80,8 +80,6 @@ std::string channels_to_json(const world::ResultChannels& ch) {
     append_bool_field(out, "traces", ch.traces, first);
     append_bool_field(out, "trace_all", ch.trace_all, first);
     append_bool_field(out, "timelines", ch.timelines, first);
-    append_bool_field(out, "profile", ch.profile, first);
-    append_bool_field(out, "profile_wall", ch.profile_wall, first);
     append_bool_field(out, "progress", ch.progress, first);
     append_bool_field(out, "captures", ch.captures, first);
     append_bool_field(out, "wall_clock", ch.wall_clock, first);
@@ -96,8 +94,6 @@ world::ResultChannels channels_from_json(const ble::json::Value& value) {
     ch.traces = value.boolean_at("traces");
     ch.trace_all = value.boolean_at("trace_all");
     ch.timelines = value.boolean_at("timelines");
-    ch.profile = value.boolean_at("profile");
-    ch.profile_wall = value.boolean_at("profile_wall");
     ch.progress = value.boolean_at("progress");
     ch.captures = value.boolean_at("captures");
     ch.wall_clock = value.boolean_at("wall_clock");

@@ -128,9 +128,14 @@ bool decode_wire_message(const ble::common::Frame& frame, WireMessage& out, std:
             break;
         }
         case WireType::kArtifact: {
+            using world::ArtifactKind;
             const std::int64_t kind = doc.i64("kind", -1);
-            if (kind < 0 || kind > 3) return fail("artifact kind out of range");
-            out.artifact.kind = static_cast<world::ArtifactKind>(kind);
+            if (kind != static_cast<int>(ArtifactKind::kEventTrace) &&
+                kind != static_cast<int>(ArtifactKind::kChromeTimeline) &&
+                kind != static_cast<int>(ArtifactKind::kPcapCapture)) {
+                return fail("unknown artifact kind " + std::to_string(kind));
+            }
+            out.artifact.kind = static_cast<ArtifactKind>(kind);
             out.artifact.stem = doc.string_at("stem");
             out.artifact.seed = doc.u64("seed");
             out.artifact.success = doc.boolean_at("success");

@@ -17,7 +17,7 @@
 //
 // Telemetry frames are informational (never cached, never merged into
 // results): periodic heartbeats plus, at task end, a compact snapshot of the
-// worker's MetricsRegistry / prof.* span totals.  They may also appear
+// worker's MetricsRegistry totals.  They may also appear
 // outside a task window (the worker announces itself with one right after
 // Hello).  Dropping every Telemetry frame changes nothing about the merged
 // campaign output — that is the determinism boundary DESIGN.md §12 pins

@@ -191,8 +191,8 @@ bool run_worker_tasks(const CampaignPlan& plan, const std::vector<int>& task_ids
         bool ok = stream.write(encode_task_results(task.id, results));
         if (ok && have_partial) ok = stream.write(encode_task_metrics(task.id, partial));
         if (ok && telemetry) {
-            // Task-end snapshot: the shard's merged MetricsRegistry + prof.*
-            // totals in compact form, plus final transport counters.
+            // Task-end snapshot: the shard's merged MetricsRegistry totals in
+            // compact form, plus final transport counters.
             ble::obs::WorkerTelemetry hb;
             hb.worker = options.worker_id;
             hb.task = task.id;

@@ -37,7 +37,7 @@ constexpr double to_ms(Duration d) { return static_cast<double>(d) / 1'000'000.0
 // throughput are properties of the run, not of the simulation.  Every such
 // read flows through this ONE helper so the determinism boundary stays
 // auditable: values derived from it live in the `telemetry.*` namespace and
-// never reach sim-derived artifacts (records, metrics.*, prof.*, traces).
+// never reach sim-derived artifacts (records, metrics.*, traces).
 // This is the single audited wall-clock suppression of the telemetry path;
 // injectable_lint rule D2 flags any other clock read outside common/rng.
 

@@ -22,11 +22,13 @@
 //  * FORGED UPDATE — scenarios C/D: a CONNECTION_UPDATE_IND after whose
 //    instant anchors keep arriving at the *old* cadence (the legitimate
 //    master never applied it, because it never sent it).
+//
+// Every alert is published as an obs::IdsAlert on the monitored world's
+// event bus; subscribe there to collect them.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,13 +49,6 @@ enum class AlertType : std::uint8_t {
 };
 
 [[nodiscard]] const char* alert_type_name(AlertType type) noexcept;
-
-struct Alert {
-    AlertType type{};
-    TimePoint time = 0;
-    std::uint16_t event_counter = 0;
-    std::string detail;
-};
 
 struct DetectorParams {
     /// Extra anchor-timing tolerance beyond the spec drift bound. Must sit
@@ -84,8 +79,6 @@ public:
 
     void start();
     void stop();
-
-    std::function<void(const Alert&)> on_alert;
 
     [[nodiscard]] int alerts_raised() const noexcept { return alerts_; }
     [[nodiscard]] bool following() const noexcept { return session_ && !session_->lost(); }

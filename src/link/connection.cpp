@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "obs/prof/profiler.hpp"
 #include "phy/frame.hpp"
 #include "phy/spec.hpp"
 
@@ -403,8 +402,6 @@ void Connection::handle_rx(const sim::RxFrame& frame) {
 
 void Connection::process_frame(const DataPduView& pdu, bool crc_ok, TimePoint /*rx_start*/,
                                TimePoint rx_end) {
-    static thread_local obs::prof::SpanSite prof_site{"link.conn.process_frame"};
-    obs::prof::Span prof_span(prof_site);
     ++report_.pdus_rx;
     if (!crc_ok) {
         ++report_.crc_errors;

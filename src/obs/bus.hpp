@@ -17,12 +17,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "obs/event.hpp"
-#include "obs/prof/profiler.hpp"
 
 namespace ble::obs {
 
@@ -38,21 +36,6 @@ public:
     virtual void on_events(const Event* events, std::size_t count) {
         for (std::size_t i = 0; i < count; ++i) on_event(events[i]);
     }
-    /// Profiler span name used to attribute this sink's fanout cost (see
-    /// src/obs/prof).  Stable across processes: part of the prof.* metric
-    /// namespace, so override with a fixed literal.
-    [[nodiscard]] virtual std::string_view prof_name() const noexcept { return "obs.sink"; }
-
-    /// Cached-id span site for prof_name() — sinks are per-trial and
-    /// single-threaded like the bus itself, so a member cache (rather than a
-    /// thread-local) is safe and keeps the fanout span on the fast path.
-    [[nodiscard]] prof::SpanSite& prof_site() {
-        if (!prof_site_) prof_site_.emplace(prof_name());
-        return *prof_site_;
-    }
-
-private:
-    std::optional<prof::SpanSite> prof_site_;
 };
 
 class EventBus {
@@ -98,10 +81,6 @@ public:
     }
 
     void dispatch(const Event& event) {
-        if (prof::active() && !sinks_.empty()) {
-            dispatch_profiled(event);
-            return;
-        }
         for (EventSink* sink : sinks_) sink->on_event(event);
         for (const Subscriber& s : subscribers_) s.fn(event);
     }
@@ -120,14 +99,7 @@ public:
             dispatch(events[0]);
             return;
         }
-        if (prof::active() && !sinks_.empty()) {
-            for (EventSink* sink : sinks_) {
-                prof::Span span(sink->prof_site());
-                sink->on_events(events, count);
-            }
-        } else {
-            for (EventSink* sink : sinks_) sink->on_events(events, count);
-        }
+        for (EventSink* sink : sinks_) sink->on_events(events, count);
         for (const Subscriber& s : subscribers_) {
             for (std::size_t i = 0; i < count; ++i) s.fn(events[i]);
         }
@@ -138,21 +110,6 @@ private:
         Token token;
         std::function<void(const Event&)> fn;
     };
-
-    /// Copy of dispatch taken only when a profiler is installed and sinks are
-    /// attached: each sink's share of the fanout gets its own span
-    /// (prof.span.obs.sink.*), so the flamegraph attributes observation
-    /// overhead per sink per context.  Function subscribers run unspanned —
-    /// they are anonymous inline logic of the emitting trial, their time is
-    /// attributed to the enclosing span, and per-call spans for them would
-    /// dominate the profiler's own overhead on busy buses.
-    void dispatch_profiled(const Event& event) {
-        for (EventSink* sink : sinks_) {
-            prof::Span span(sink->prof_site());
-            sink->on_event(event);
-        }
-        for (const Subscriber& s : subscribers_) s.fn(event);
-    }
 
     std::vector<EventSink*> sinks_;
     std::vector<Subscriber> subscribers_;

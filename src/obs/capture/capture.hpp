@@ -165,9 +165,6 @@ public:
     explicit CaptureSink(VantagePoint vantage = {}) : builder_(std::move(vantage)) {}
 
     void on_event(const Event& event) override;
-    [[nodiscard]] std::string_view prof_name() const noexcept override {
-        return "obs.sink.capture";
-    }
 
     [[nodiscard]] const CaptureBuilder& builder() const noexcept { return builder_; }
     [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept {

@@ -151,7 +151,6 @@ public:
     explicit MetricsSink(MetricsRegistry& registry, MetricsSinkParams params = {});
 
     void on_event(const Event& event) override;
-    [[nodiscard]] std::string_view prof_name() const noexcept override { return "obs.sink.metrics"; }
 
     /// Records the per-trial aggregates (attempts per connection, trial
     /// span).  Call once, after the trial's last event.

@@ -7,9 +7,6 @@
 //    memory; TrialRunner-style harnesses attach one per trial and flush the
 //    buffer to a file next to the INJECTABLE_JSON records when the trial
 //    fails, keyed by seed, so the trial can be replayed frame-by-frame.
-//
-// The human-readable third sink is link::PacketTrace, which subscribes to the
-// same bus but needs the link layer to decode frames — it lives in ble_link.
 #pragma once
 
 #include <atomic>
@@ -86,7 +83,6 @@ public:
     };
 
     void on_event(const Event& event) override;
-    [[nodiscard]] std::string_view prof_name() const noexcept override { return "obs.sink.counter"; }
     [[nodiscard]] Snapshot snapshot() const noexcept;
     void reset() noexcept;
 
@@ -105,7 +101,6 @@ public:
     explicit JsonlTraceSink(FrameDescriber describe = {}) : describe_(std::move(describe)) {}
 
     void on_event(const Event& event) override { lines_.push_back(to_jsonl(event, describe_)); }
-    [[nodiscard]] std::string_view prof_name() const noexcept override { return "obs.sink.jsonl"; }
 
     /// Optional metadata line written before the event lines (the replay tool
     /// stores the trial's reconstructed config here).  Not part of lines().

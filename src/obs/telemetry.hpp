@@ -1,8 +1,8 @@
 // Campaign-wide telemetry: the wall-clock observability layer that spans
 // the leader/worker process boundary.
 //
-// Every observability layer below this one (MetricsRegistry, the prof
-// self-profiler, Chrome timelines) is strictly deterministic: a pure function
+// Every observability layer below this one (MetricsRegistry, event traces,
+// Chrome timelines) is strictly deterministic: a pure function
 // of (config, seed), merged in trial-index order, bit-identical for any
 // worker count.  A *distributed* campaign needs the opposite kind of data —
 // which shard is slow, which worker went silent, how many bytes a transport
@@ -11,7 +11,7 @@
 //
 //  * every value derived from the host clock lives under the `telemetry.*`
 //    metric namespace and in a separate JSONL campaign log, never in series
-//    records, metrics.* / prof.* snapshots, or traces;
+//    records, metrics.* snapshots, or traces;
 //  * the only wall-clock read of the whole path is ble::telemetry_now_ns()
 //    (src/common/time.hpp), behind a single audited lint allow(D2) — callers
 //    here take explicit `now_ms` parameters so tests drive a fake clock.
@@ -62,7 +62,7 @@ struct HistTotal {
 /// One worker heartbeat / task-end snapshot as it travels the campaign wire
 /// (src/campaign encodes this as the Telemetry frame).  `t_ms` is the
 /// worker-side telemetry clock; counters/hists are empty on periodic
-/// heartbeats and carry the compact MetricsRegistry + prof.* span totals on
+/// heartbeats and carry the compact MetricsRegistry totals on
 /// the task-end snapshot (final_snapshot == true).
 struct WorkerTelemetry {
     int worker = -1;

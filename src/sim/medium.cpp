@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "obs/prof/profiler.hpp"
 #include "sim/radio_device.hpp"
 
 namespace ble::sim {
@@ -174,9 +173,6 @@ RadioMedium::Transmission& RadioMedium::hold(std::uint64_t tx_id) {
 }
 
 std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFrame frame) {
-    static thread_local obs::prof::SpanSite prof_site{"medium.transmit"};
-    obs::prof::Span prof_span(prof_site);
-    prof_span.add_sim(frame.duration());  // claim the frame's airtime
     // Half-duplex: transmitting suspends any reception in progress.
     stop_listening(device);
     device.transmitting_ = true;
@@ -227,15 +223,6 @@ std::uint64_t RadioMedium::transmit(RadioDevice& device, Channel channel, AirFra
     return id;
 }
 
-void RadioMedium::add_tx_observer(TxObserver observer) {
-    bus_.subscribe([observer = std::move(observer)](const obs::Event& event) {
-        const auto* tx = std::get_if<obs::TxStart>(&event);
-        if (tx != nullptr && tx->sender_device != nullptr && tx->frame != nullptr) {
-            observer(*tx->sender_device, tx->channel, tx->time, *tx->frame);
-        }
-    });
-}
-
 void RadioMedium::flush_rx_batch() {
     if (rx_batch_.empty()) return;
     bus_.emit_batch(rx_batch_.data(), rx_batch_.size());
@@ -243,8 +230,6 @@ void RadioMedium::flush_rx_batch() {
 }
 
 void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
-    static thread_local obs::prof::SpanSite prof_site{"medium.deliver"};
-    obs::prof::Span prof_span(prof_site);
     const double signal_dbm = rx_power_dbm(tx, receiver);
 
     // Collect interferers overlapping this frame at this receiver. The
@@ -393,8 +378,6 @@ void RadioMedium::retire(TimePoint horizon) noexcept {
 }
 
 void RadioMedium::finish_transmission(std::uint64_t tx_id) {
-    // Deliberately unspanned: trivial bookkeeping whose time reads naturally
-    // as sim.dispatch self-time; medium.transmit/deliver carry the profile.
     Transmission* held = find(tx_id);
     if (held == nullptr) return;
     Transmission& tx = *held;

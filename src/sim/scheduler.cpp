@@ -2,28 +2,7 @@
 
 #include <utility>
 
-#include "obs/prof/profiler.hpp"
-
 namespace ble::sim {
-
-namespace {
-
-/// One dispatched event, profiled.  The "sim.dispatch" span opens at the
-/// pre-dispatch clock and closes at the event's firing time, so its sim-time
-/// duration is exactly the simulated jump the event caused; queue depth is
-/// sampled as a prof gauge.  All of it compiles down to a thread-local null
-/// test when no profiler is installed.
-inline void dispatch_profiled(TimePoint prev, TimePoint fire, std::size_t pending,
-                              EventCallback& fn) {
-    obs::prof::set_sim_now(fire);
-    static thread_local obs::prof::SpanSite dispatch_site{"sim.dispatch"};
-    static thread_local obs::prof::GaugeSite depth_site{"sim.sched.queue_depth"};
-    obs::prof::Span span(dispatch_site, prev);
-    obs::prof::sample_gauge(depth_site, static_cast<std::int64_t>(pending));
-    fn();
-}
-
-}  // namespace
 
 Scheduler::~Scheduler() {
     for (Bucket& bucket : buckets_) {
@@ -174,10 +153,9 @@ void Scheduler::fire(Bucket& bucket) {
     unlink(bucket, node, static_cast<std::size_t>(window_of(t)) & kBucketMask);
     release_handle(node->handle);
     destroy(node);
-    const TimePoint prev = now_;
     now_ = t;
     cursor_ = window_of(now_);
-    dispatch_profiled(prev, now_, live_, fn);
+    fn();
 }
 
 bool Scheduler::run_one() {

@@ -42,15 +42,6 @@ struct ExperimentConfig {
     /// concurrency (results are index-ordered, identical for any value).
     int jobs = 0;
 
-    /// Enables the deterministic self-profiler (src/obs/prof) per trial:
-    /// prof.* sim-time span metrics join the merged series snapshot (and thus
-    /// INJECTABLE_JSON / INJECTABLE_METRICS), and nested span timelines land
-    /// next to the Chrome traces under INJECTABLE_CHROME_TRACE_DIR.
-    /// INJECTABLE_PROF=1 turns this on from the environment;
-    /// INJECTABLE_PROF_WALL=1 additionally prints per-trial wall-clock span
-    /// tables to stderr (non-deterministic, never recorded).
-    bool profile_spans = false;
-
     /// The testbed (geometry, clocks, RF, traffic, counter-measures).
     WorldSpec world{};
 
@@ -141,7 +132,7 @@ struct Stats {
 /// trial seeds are base_seed + global trial index, so a slice executed
 /// anywhere produces exactly the trials a single-process run would.  The
 /// sink's channels gate what each trial produces (traces, timelines, metrics,
-/// profiler spans, wall-clock timing); artifacts, the series record and
+/// captures, wall-clock timing); artifacts, the series record and
 /// progress heartbeats are delivered through the sink.  Reads no environment
 /// variables.
 [[nodiscard]] std::vector<RunResult> run_series(const ExperimentConfig& config, ResultSink& sink,

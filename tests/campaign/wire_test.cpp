@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/framing.hpp"
+#include "common/rng.hpp"
 #include "obs/capture/capture.hpp"
 
 namespace injectable::campaign {
@@ -140,6 +146,204 @@ TEST(CampaignWire, DecoderRejectsUnknownTypesAndGarbage) {
     EXPECT_FALSE(decode_wire_message(
         ble::common::Frame{static_cast<std::uint32_t>(WireType::kTaskResults), "{\"task\":1}"},
         message, &error));
+}
+
+// ---------------------------------------------------------------------------
+// Seeded fuzz of the worker-pipe decode path: valid encoded frames cut at
+// random chunk boundaries, truncated, and with random bytes flipped go
+// through FrameDecoder::feed and decode_wire_message.  Every input must be
+// rejected or round-trip; under ASan/UBSan none may touch memory it should
+// not.
+
+/// One valid frame of every wire type, with payloads that stress escaping.
+std::vector<std::string> fuzz_corpus() {
+    ble::obs::MetricsSnapshot metrics;
+    metrics.counters["events_total"] = 1234;
+    metrics.counters["inject \"quoted\""] = 7;
+    metrics.gauges["trial_span_ns"] = ble::obs::GaugeSnapshot{2, -5, -9, 40};
+    ble::obs::HistogramSnapshot hist;
+    for (const std::uint64_t v : {0u, 1u, 3u, 900u, 70000u}) hist.record(v);
+    metrics.histograms["attempts"] = hist;
+
+    world::TrialArtifact artifact;
+    artifact.kind = world::ArtifactKind::kPcapCapture;
+    artifact.stem = "exp1-seed\"9\"";
+    artifact.seed = 9;
+    artifact.success = true;
+    for (int b = 0; b < 256; ++b) artifact.content.push_back(static_cast<char>(b));
+
+    ble::obs::WorkerTelemetry telemetry;
+    telemetry.worker = 2;
+    telemetry.task = 5;
+    telemetry.t_ms = 99;
+    telemetry.final_snapshot = true;
+    telemetry.counters["sim.tx"] = 400;
+    telemetry.hists["attempts"] = {3, 12};
+
+    return {encode_hello(1),
+            encode_task_start(5),
+            encode_task_results(5, {sample_result(4), sample_result(9), sample_result(12)}),
+            encode_task_metrics(5, metrics),
+            encode_artifact(5, artifact),
+            encode_progress(5, 2, 6),
+            encode_task_done(5),
+            encode_worker_done(1),
+            encode_error(1, "torn \"frame\"\n\x01"),
+            encode_telemetry(telemetry)};
+}
+
+/// The encoder call that produces `message`'s frame.
+std::string reencode(const WireMessage& m) {
+    switch (m.type) {
+        case WireType::kHello: return encode_hello(m.worker);
+        case WireType::kTaskStart: return encode_task_start(m.task);
+        case WireType::kTaskResults: return encode_task_results(m.task, m.results);
+        case WireType::kTaskMetrics: return encode_task_metrics(m.task, m.metrics);
+        case WireType::kArtifact: return encode_artifact(m.task, m.artifact);
+        case WireType::kProgress: return encode_progress(m.task, m.done, m.total);
+        case WireType::kTaskDone: return encode_task_done(m.task);
+        case WireType::kWorkerDone: return encode_worker_done(m.worker);
+        case WireType::kError: return encode_error(m.worker, m.message);
+        case WireType::kTelemetry: return encode_telemetry(m.telemetry);
+    }
+    return {};
+}
+
+/// Feeds `stream` to a decoder in random 1..max_chunk byte chunks, popping
+/// frames as they complete.
+std::vector<ble::common::Frame> feed_chunked(ble::common::FrameDecoder& decoder,
+                                             const std::string& stream, ble::Rng& rng,
+                                             std::size_t max_chunk) {
+    std::vector<ble::common::Frame> frames;
+    std::size_t at = 0;
+    while (at < stream.size()) {
+        const std::size_t n = std::min<std::size_t>(1 + rng.next_below(max_chunk),
+                                                    stream.size() - at);
+        decoder.feed(std::string_view(stream).substr(at, n));
+        at += n;
+        while (auto frame = decoder.next()) frames.push_back(std::move(*frame));
+    }
+    return frames;
+}
+
+/// The decode contract for one frame off the pipe: it is rejected, or it
+/// decodes to a message whose re-encoding decodes to the same message.
+void expect_rejected_or_round_trips(const ble::common::Frame& frame) {
+    WireMessage message;
+    std::string error;
+    if (!decode_wire_message(frame, message, &error)) {
+        EXPECT_FALSE(error.empty());
+        return;
+    }
+    const std::string once = reencode(message);
+    ble::common::FrameDecoder decoder;
+    decoder.feed(once);
+    const auto again = decoder.next();
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->type, frame.type);
+    WireMessage second;
+    ASSERT_TRUE(decode_wire_message(*again, second, &error)) << error;
+    EXPECT_EQ(reencode(second), once);
+}
+
+TEST(CampaignWireFuzz, ValidFramesRoundTripAtAnyChunkBoundary) {
+    const std::vector<std::string> corpus = fuzz_corpus();
+    for (const std::string& framed : corpus) {
+        ble::common::FrameDecoder decoder;
+        decoder.feed(framed);
+        const auto frame = decoder.next();
+        ASSERT_TRUE(frame.has_value());
+        WireMessage message;
+        std::string error;
+        ASSERT_TRUE(decode_wire_message(*frame, message, &error)) << error;
+        EXPECT_EQ(reencode(message), framed) << "type " << frame->type;
+    }
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        ble::Rng rng(seed);
+        std::vector<std::size_t> order;
+        std::string stream;
+        for (int i = 0; i < 12; ++i) {
+            order.push_back(rng.next_below(corpus.size()));
+            stream += corpus[order.back()];
+        }
+        ble::common::FrameDecoder decoder;
+        const auto frames = feed_chunked(decoder, stream, rng, 1 + seed % 97);
+        ASSERT_EQ(frames.size(), order.size()) << "seed " << seed;
+        EXPECT_TRUE(decoder.error().empty());
+        EXPECT_FALSE(decoder.mid_frame());
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            EXPECT_EQ(ble::common::encode_frame(frames[i].type, frames[i].payload),
+                      corpus[order[i]])
+                << "seed " << seed << " frame " << i;
+        }
+    }
+}
+
+TEST(CampaignWireFuzz, TruncatedStreamsSurfaceOnlyWholeFrames) {
+    const std::vector<std::string> corpus = fuzz_corpus();
+    std::string stream;
+    std::vector<std::size_t> ends;  // stream offset just past each frame
+    for (const std::string& framed : corpus) {
+        stream += framed;
+        ends.push_back(stream.size());
+    }
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        ble::Rng rng(seed);
+        const std::size_t cut = rng.next_below(stream.size() + 1);
+        ble::common::FrameDecoder decoder;
+        const auto frames = feed_chunked(decoder, stream.substr(0, cut), rng, 64);
+        const auto whole = static_cast<std::size_t>(
+            std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+        ASSERT_EQ(frames.size(), whole) << "seed " << seed << " cut " << cut;
+        for (std::size_t i = 0; i < whole; ++i) {
+            EXPECT_EQ(ble::common::encode_frame(frames[i].type, frames[i].payload), corpus[i]);
+        }
+        const bool at_boundary = cut == 0 || (whole > 0 && ends[whole - 1] == cut);
+        EXPECT_EQ(decoder.mid_frame(), !at_boundary) << "seed " << seed;
+        EXPECT_TRUE(decoder.error().empty());
+    }
+    // A frame cut inside its payload never decodes, whatever the cut.
+    for (const std::string& framed : corpus) {
+        for (std::size_t keep = 8; keep < framed.size(); keep += 7) {
+            const ble::common::Frame partial{
+                static_cast<std::uint32_t>(static_cast<unsigned char>(framed[4])),
+                framed.substr(8, keep - 8)};
+            expect_rejected_or_round_trips(partial);
+        }
+    }
+}
+
+TEST(CampaignWireFuzz, FlippedBytesAreRejectedOrRoundTrip) {
+    const std::vector<std::string> corpus = fuzz_corpus();
+    std::string stream;
+    for (const std::string& framed : corpus) stream += framed;
+    int rejected = 0;
+    int decoded = 0;
+    for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+        ble::Rng rng(seed);
+        std::string mutated = stream;
+        const int flips = 1 + static_cast<int>(rng.next_below(4));
+        for (int f = 0; f < flips; ++f) {
+            mutated[rng.next_below(mutated.size())] ^=
+                static_cast<char>(1u << rng.next_below(8));
+        }
+        ble::common::FrameDecoder decoder;
+        for (const ble::common::Frame& frame : feed_chunked(decoder, mutated, rng, 128)) {
+            WireMessage message;
+            if (decode_wire_message(frame, message)) ++decoded;
+            else ++rejected;
+            expect_rejected_or_round_trips(frame);
+        }
+        // A corrupt length prefix may wedge the stream; a wedged decoder
+        // surfaces nothing more, ever.
+        if (!decoder.error().empty()) {
+            decoder.feed(stream);
+            EXPECT_FALSE(decoder.next().has_value());
+        }
+    }
+    // Both outcomes occur: the corpus is neither all-fragile nor unchecked.
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(decoded, 0);
 }
 
 // ---------------------------------------------------------------------------

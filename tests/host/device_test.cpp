@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "link/device.hpp"
+#include "obs/bus.hpp"
 #include "phy/access_address.hpp"
 #include "phy/crc.hpp"
 #include "phy/frame.hpp"
@@ -34,19 +35,25 @@ struct DeviceBed {
 
     void run_for(Duration d) { scheduler.run_until(scheduler.now() + d); }
 
+    /// Calls `fn` for every transmission start on the medium's bus.
+    template <typename Fn>
+    void on_tx(Fn fn) {
+        tx_sub = obs::ScopedSubscription(medium.bus(), [fn](const obs::Event& event) {
+            if (const auto* tx = std::get_if<obs::TxStart>(&event)) fn(*tx);
+        });
+    }
+
     Rng rng;
     sim::Scheduler scheduler;
     sim::RadioMedium medium;
+    obs::ScopedSubscription tx_sub;
 };
 
 TEST(DeviceTest, AdvertisingUsesAllThreeChannels) {
     DeviceBed bed;
     auto advertiser = bed.make("adv", {0, 0});
     std::set<sim::Channel> channels;
-    bed.medium.add_tx_observer(
-        [&](const sim::RadioDevice&, sim::Channel ch, TimePoint, const sim::AirFrame&) {
-            channels.insert(ch);
-        });
+    bed.on_tx([&](const obs::TxStart& tx) { channels.insert(tx.channel); });
     advertiser->start_advertising(make_adv_name("dut"));
     bed.run_for(500_ms);
     EXPECT_EQ(channels, (std::set<sim::Channel>{37, 38, 39}));
@@ -56,10 +63,9 @@ TEST(DeviceTest, AdvertisingIntervalRespected) {
     DeviceBed bed;
     auto advertiser = bed.make("adv", {0, 0}, 200_ms);
     std::vector<TimePoint> ch37_times;
-    bed.medium.add_tx_observer(
-        [&](const sim::RadioDevice&, sim::Channel ch, TimePoint t, const sim::AirFrame&) {
-            if (ch == 37) ch37_times.push_back(t);
-        });
+    bed.on_tx([&](const obs::TxStart& tx) {
+        if (tx.channel == 37) ch37_times.push_back(tx.time);
+    });
     advertiser->start_advertising(make_adv_name("dut"));
     bed.run_for(2'000_ms);
     ASSERT_GE(ch37_times.size(), 5u);

@@ -16,10 +16,28 @@ using injectable::AttackSession;
 using injectable::SniffedConnection;
 using injectable::test::AttackWorld;
 
-/// World with an extra IDS probe radio and its own sniffer capture.
+/// One obs::IdsAlert as collected off the bus (its views copied out).
+struct Alert {
+    AlertType type{};
+    TimePoint time = 0;
+    std::uint16_t event_counter = 0;
+    std::string type_name;
+    std::string detail;
+};
+
+/// World with an extra IDS probe radio and its own sniffer capture.  Alerts
+/// are collected from the world's event bus, where the detector publishes
+/// them.
 struct IdsWorld {
     explicit IdsWorld(std::uint64_t seed = 11, sim::Position probe_pos = {0.5, -1.0})
-        : world(make_options(seed)) {
+        : world(make_options(seed)),
+          alert_sub(world.medium.bus(), [this](const obs::Event& event) {
+              if (const auto* alert = std::get_if<obs::IdsAlert>(&event)) {
+                  alerts.push_back(Alert{static_cast<AlertType>(alert->type), alert->time,
+                                         alert->event_counter, std::string(alert->type_name),
+                                         std::string(alert->detail)});
+              }
+          }) {
         sim::RadioDeviceConfig probe_cfg;
         probe_cfg.name = "ids-probe";
         probe_cfg.position = probe_pos;
@@ -46,7 +64,6 @@ struct IdsWorld {
         ids_sniffer.stop();
         if (!attacker_capture || !ids_capture) return false;
         detector = std::make_unique<InjectionDetector>(*probe, *ids_capture);
-        detector->on_alert = [this](const Alert& alert) { alerts.push_back(alert); };
         detector->start();
         session = std::make_unique<AttackSession>(*world.attacker, *attacker_capture);
         session->start();
@@ -71,12 +88,13 @@ struct IdsWorld {
     }
 
     AttackWorld world;
+    std::vector<Alert> alerts;
+    obs::ScopedSubscription alert_sub;
     std::unique_ptr<AttackerRadio> probe;
     std::optional<SniffedConnection> attacker_capture;
     std::optional<SniffedConnection> ids_capture;
     std::unique_ptr<InjectionDetector> detector;
     std::unique_ptr<AttackSession> session;
-    std::vector<Alert> alerts;
 };
 
 TEST(InjectionDetectorTest, BenignTrafficRaisesNoAlerts) {
@@ -111,23 +129,9 @@ TEST(InjectionDetectorTest, DetectsScenarioAInjection) {
 }
 
 TEST(InjectionDetectorTest, AlertsMirrorOntoTheEventBus) {
+    // Every raised alert lands on the world's bus exactly once, in time
+    // order, carrying its type's stable name and a non-empty detail.
     IdsWorld ids;
-    // Every on_alert callback must have a matching obs::IdsAlert on the
-    // world's bus, same type/event/detail, in the same order.
-    struct BusAlert {
-        std::uint8_t type;
-        std::uint16_t event_counter;
-        std::string detail;
-    };
-    std::vector<BusAlert> bus_alerts;
-    obs::ScopedSubscription sub(
-        ids.world.medium.bus(), [&bus_alerts](const obs::Event& event) {
-            if (const auto* alert = std::get_if<obs::IdsAlert>(&event)) {
-                bus_alerts.push_back(
-                    BusAlert{alert->type, alert->event_counter, std::string(alert->detail)});
-            }
-        });
-
     ASSERT_TRUE(ids.establish());
     injectable::ScenarioA scenario(*ids.session);
     std::optional<injectable::ScenarioA::Result> result;
@@ -137,13 +141,15 @@ TEST(InjectionDetectorTest, AlertsMirrorOntoTheEventBus) {
     ASSERT_TRUE(ids.run_until(60_s, [&] { return result.has_value(); }));
     ids.world.run_for(2_s);
 
-    ASSERT_EQ(bus_alerts.size(), ids.alerts.size());
-    for (std::size_t i = 0; i < bus_alerts.size(); ++i) {
-        EXPECT_EQ(bus_alerts[i].type, static_cast<std::uint8_t>(ids.alerts[i].type));
-        EXPECT_EQ(bus_alerts[i].event_counter, ids.alerts[i].event_counter);
-        EXPECT_EQ(bus_alerts[i].detail, ids.alerts[i].detail);
+    ASSERT_EQ(ids.alerts.size(), static_cast<std::size_t>(ids.detector->alerts_raised()));
+    TimePoint last = 0;
+    for (const Alert& alert : ids.alerts) {
+        EXPECT_EQ(alert.type_name, alert_type_name(alert.type));
+        EXPECT_FALSE(alert.detail.empty());
+        EXPECT_GE(alert.time, last);
+        last = alert.time;
     }
-    EXPECT_FALSE(bus_alerts.empty());  // scenario A trips at least one alert
+    EXPECT_FALSE(ids.alerts.empty());  // scenario A trips at least one alert
 }
 
 TEST(InjectionDetectorTest, DetectsScenarioBTerminateHijack) {

@@ -307,7 +307,6 @@ TEST(CaptureSinkTest, FeedsTheBuilderFromBusEvents) {
     EXPECT_EQ(sink.records()[0].channel, 21);
     EXPECT_EQ(sink.records()[0].signal_dbm, -8);
     EXPECT_EQ(sink.records()[0].bytes, frame);
-    EXPECT_EQ(sink.prof_name(), "obs.sink.capture");
 
     const ParsedCapture parsed = parse_capture(sink.pcap_bytes());
     ASSERT_TRUE(parsed.ok) << parsed.error;

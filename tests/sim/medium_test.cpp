@@ -251,11 +251,12 @@ TEST_F(MediumFixture, TxObserverSeesAllTransmissions) {
     auto tx = make("tx", {0, 0});
     int observed = 0;
     Channel seen_channel = 0;
-    medium.add_tx_observer([&](const RadioDevice& sender, Channel ch, TimePoint,
-                               const AirFrame&) {
+    obs::ScopedSubscription sub(medium.bus(), [&](const obs::Event& event) {
+        const auto* start = std::get_if<obs::TxStart>(&event);
+        if (start == nullptr) return;
         ++observed;
-        seen_channel = ch;
-        EXPECT_EQ(sender.name(), "tx");
+        seen_channel = start->channel;
+        EXPECT_EQ(start->sender, "tx");
     });
     tx->transmit(12, test_frame());
     scheduler.run_all();

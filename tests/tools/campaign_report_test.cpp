@@ -1,5 +1,5 @@
 // campaign_report golden-output test: a tiny two-config campaign is run for
-// real (profiled, traces on), folded into a report, and the result must be
+// real (traces on), folded into a report, and the result must be
 // reproducible byte for byte — the report is a pure function of the
 // campaign's deterministic fields.  Also pins the --check gate semantics:
 // clean campaign passes, tampered trace / empty input / bad JSON fail.
@@ -47,7 +47,6 @@ protected:
             config.max_attempts = 60;
             config.base_seed = 3000 + static_cast<std::uint64_t>(hop);
             config.jobs = 1;
-            config.profile_spans = true;
             config.world.hop_interval = static_cast<std::uint16_t>(hop);
             ble::obs::MetricsSnapshot merged;
             config.on_series_metrics = [&merged](const ble::obs::MetricsSnapshot& snapshot) {
@@ -230,28 +229,6 @@ TEST(CampaignReportTelemetry, GateFailsOnStragglersLostShardsAndMissingSummary) 
     EXPECT_NE(gate.problems[1].find("state 'lost'"), std::string::npos);
 }
 
-TEST(CampaignReport, FlameTreeRebuildsNestedStacks) {
-    CampaignData campaign;
-    SeriesRecord series;
-    series.counters["prof.stack.a.count"] = 10;
-    series.counters["prof.stack.a.sim_us"] = 100;
-    series.counters["prof.stack.a;b.count"] = 4;
-    series.counters["prof.stack.a;b;c.count"] = 1;
-    series.counters["prof.stack.d.count"] = 2;
-    campaign.series.push_back(series);
-    campaign.series.push_back(series);  // aggregation doubles everything
-
-    const FlameNode flame = build_flame(campaign);
-    ASSERT_EQ(flame.children.size(), 2u);
-    const FlameNode& a = flame.children.at("a");
-    EXPECT_EQ(a.count, 20u);
-    EXPECT_EQ(a.sim_us, 200u);
-    EXPECT_EQ(a.children.at("b").count, 8u);
-    EXPECT_EQ(a.children.at("b").children.at("c").count, 2u);
-    EXPECT_EQ(a.total_count(), 30u);
-    EXPECT_EQ(flame.total_count(), 34u);
-}
-
 TEST(CampaignReport, BudgetFileParsesAndRejectsMalformedEntries) {
     char tmpl[] = "/tmp/campaign_report_test.XXXXXX";
     ASSERT_NE(mkdtemp(tmpl), nullptr);
@@ -259,60 +236,59 @@ TEST(CampaignReport, BudgetFileParsesAndRejectsMalformedEntries) {
 
     const std::string good = dir + "/budgets.json";
     std::ofstream(good, std::ios::binary)
-        << R"({"e":"campaign-budgets","budgets":[)"
-        << R"({"span":"sim.dispatch","max_share":0.9},)"
-        << R"({"span":"medium.transmit","max_share":0.5}]})" << "\n";
+        << R"({"e":"campaign-budgets","max_airtime_share":0.6})" << "\n";
     std::vector<std::string> errors;
-    const std::vector<SpanBudget> budgets = load_budgets(good, errors);
+    const std::optional<double> budget = load_airtime_budget(good, errors);
     EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-    ASSERT_EQ(budgets.size(), 2u);
-    EXPECT_EQ(budgets[0].span, "sim.dispatch");
-    EXPECT_DOUBLE_EQ(budgets[1].max_share, 0.5);
+    ASSERT_TRUE(budget.has_value());
+    EXPECT_DOUBLE_EQ(*budget, 0.6);
 
-    // Missing file, wrong envelope tag, out-of-range share: all loud.
+    // Missing file, wrong envelope tag, missing or out-of-range share: all loud.
     errors.clear();
-    EXPECT_TRUE(load_budgets(dir + "/absent.json", errors).empty());
+    EXPECT_FALSE(load_airtime_budget(dir + "/absent.json", errors).has_value());
     EXPECT_FALSE(errors.empty());
-
-    const std::string bad = dir + "/bad.json";
-    std::ofstream(bad, std::ios::binary)
-        << R"({"e":"campaign-budgets","budgets":[{"span":"x","max_share":1.5}]})" << "\n";
-    errors.clear();
-    EXPECT_TRUE(load_budgets(bad, errors).empty());
-    EXPECT_FALSE(errors.empty());
+    for (const char* doc : {R"({"e":"other","max_airtime_share":0.5})",
+                            R"({"e":"campaign-budgets"})",
+                            R"({"e":"campaign-budgets","max_airtime_share":1.5})"}) {
+        const std::string bad = dir + "/bad.json";
+        std::ofstream(bad, std::ios::binary | std::ios::trunc) << doc << "\n";
+        errors.clear();
+        EXPECT_FALSE(load_airtime_budget(bad, errors).has_value()) << doc;
+        EXPECT_FALSE(errors.empty()) << doc;
+    }
 }
 
-TEST(CampaignReport, SpanBudgetGateFailsOnRegressionStaleSpanAndMissingProfile) {
-    CampaignData campaign;
-    SeriesRecord series;
-    // Root span "a" covers all profiled time; nested "a;b" takes 40% of it.
-    series.counters["prof.stack.a.count"] = 10;
-    series.counters["prof.stack.a.sim_us"] = 600;
-    series.counters["prof.stack.a;b.count"] = 4;
-    series.counters["prof.stack.a;b.sim_us"] = 400;
-    series.counters["prof.span.a.count"] = 10;
-    series.counters["prof.span.a.sim_us"] = 1000;  // inclusive
-    series.counters["prof.span.b.count"] = 4;
-    series.counters["prof.span.b.sim_us"] = 400;
-    campaign.series.push_back(series);
+TEST_F(CampaignFixture, AirtimeBudgetPassesUnderFailsOverAndNeedsTraces) {
+    const CampaignData campaign = load_campaign({json_path_});
+    const std::vector<DriftRow> drift = compute_drift(campaign, traces_dir_);
+    std::uint64_t airtime_ns = 0;
+    for (const DriftRow& row : drift) {
+        EXPECT_GT(row.tx_airtime_ns, 0u) << row.series;
+        EXPECT_GT(row.sim_span_ns, row.tx_airtime_ns) << row.series;
+        airtime_ns += row.tx_airtime_ns;
+    }
+    const double share = airtime_share(drift);
+    ASSERT_GT(share, 0.0);
 
-    EXPECT_TRUE(check_span_budgets(campaign, {{"b", 0.5}}).ok);
+    // The shipped 0.60 bound holds on a Fig. 8 testbed campaign.
+    const CheckResult under = check_airtime_budget(drift, 0.60);
+    EXPECT_TRUE(under.ok) << (under.problems.empty() ? "" : under.problems.front());
 
-    const CheckResult regressed = check_span_budgets(campaign, {{"b", 0.25}});
-    ASSERT_FALSE(regressed.ok);
-    EXPECT_NE(regressed.problems[0].find("'b'"), std::string::npos);
-    EXPECT_NE(regressed.problems[0].find("exceeds budget"), std::string::npos);
+    const CheckResult over = check_airtime_budget(drift, share / 2);
+    ASSERT_FALSE(over.ok);
+    ASSERT_EQ(over.problems.size(), 1u);
+    EXPECT_NE(over.problems[0].find("exceeds budget"), std::string::npos);
+    EXPECT_NE(over.problems[0].find(std::to_string(airtime_ns)), std::string::npos);
 
-    const CheckResult stale = check_span_budgets(campaign, {{"vanished", 0.5}});
-    ASSERT_FALSE(stale.ok);
-    EXPECT_NE(stale.problems[0].find("stale"), std::string::npos);
-
-    const CheckResult unprofiled = check_span_budgets(CampaignData{}, {{"b", 0.5}});
-    ASSERT_FALSE(unprofiled.ok);
-    EXPECT_NE(unprofiled.problems[0].find("no profiler data"), std::string::npos);
-
-    // No budgets at all: nothing to gate on, trivially ok.
-    EXPECT_TRUE(check_span_budgets(campaign, {}).ok);
+    // An empty traces dir: every series reports 0/2 traces, and the gate
+    // refuses to pass on no evidence.
+    const std::string empty_dir = dir_ + "/no-traces";
+    std::filesystem::create_directories(empty_dir);
+    const CheckResult missing =
+        check_airtime_budget(compute_drift(campaign, empty_dir), 0.60);
+    ASSERT_FALSE(missing.ok);
+    EXPECT_NE(missing.problems[0].find("no trace"), std::string::npos);
+    EXPECT_FALSE(check_airtime_budget({}, 0.60).ok);
 }
 
 namespace {

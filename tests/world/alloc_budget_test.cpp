@@ -53,7 +53,7 @@ namespace {
 /// Allocations per trial over perfbench's first `trials` trials of a
 /// series at seed 1 — a 12-byte LL payload, 1500 attempts, trial seeds
 /// (1 << 32) + i — after one uncounted trial: process-wide one-time state
-/// (profiler call sites, logging) is not a per-trial cost.
+/// (logging, lazily built tables) is not a per-trial cost.
 double allocations_per_trial(const std::string& name, WorldSpec world, int trials) {
     ExperimentConfig config;
     config.name = name;

@@ -166,18 +166,18 @@ TEST(ResultSink, SinkPathsFromEnvReadsTheClassicVariables) {
     ::setenv("INJECTABLE_TRACE_DIR", "/tmp/tr", 1);
     ::setenv("INJECTABLE_TRACE_ALL", "1", 1);
     ::setenv("INJECTABLE_METRICS", "1", 1);
-    ::setenv("INJECTABLE_PROF", "1", 1);
+    ::setenv("INJECTABLE_PCAP_DIR", "/tmp/pc", 1);
     const SinkPaths paths = sink_paths_from_env();
     EXPECT_EQ(paths.json_path, "/tmp/x.jsonl");
     EXPECT_EQ(paths.trace_dir, "/tmp/tr");
     EXPECT_TRUE(paths.trace_all);
     EXPECT_TRUE(paths.metrics_print);
-    EXPECT_TRUE(paths.profile);
+    EXPECT_EQ(paths.pcap_dir, "/tmp/pc");
     ::unsetenv("INJECTABLE_JSON");
     ::unsetenv("INJECTABLE_TRACE_DIR");
     ::unsetenv("INJECTABLE_TRACE_ALL");
     ::unsetenv("INJECTABLE_METRICS");
-    ::unsetenv("INJECTABLE_PROF");
+    ::unsetenv("INJECTABLE_PCAP_DIR");
 
     const SinkPaths clear = sink_paths_from_env();
     EXPECT_TRUE(clear.json_path.empty());

@@ -2,7 +2,7 @@
 //
 //   campaign_ctl plan   --out FILE [--name S] [--runs N] [--shards N]
 //                       [--metrics] [--traces] [--trace-all] [--timelines]
-//                       [--captures] [--profile] [--progress]
+//                       [--captures] [--progress]
 //   campaign_ctl run    --plan FILE [--transport inprocess|uds|tcp|spawn|local]
 //                       [--workers N] [--rounds N] [--timeout-ms N]
 //                       [--json FILE] [--trace-dir DIR] [--trace-all] [--gzip]
@@ -149,7 +149,6 @@ struct Options {
     bool plan_trace_all = false;
     bool plan_timelines = false;
     bool plan_captures = false;
-    bool plan_profile = false;
     bool plan_progress = false;
     std::vector<std::string> positional;
 };
@@ -188,7 +187,6 @@ bool parse_options(int argc, char** argv, int first, Options& options) {
         else if (arg == "--pcap-dir") { if (!value_of(options.sink.pcap_dir)) return false; }
         else if (arg == "--metrics-print") { options.sink.metrics_print = true; }
         else if (arg == "--metrics") { options.sink.metrics = true; options.plan_metrics = true; }
-        else if (arg == "--profile") { options.sink.profile = true; options.plan_profile = true; }
         else if (arg == "--progress") { options.sink.progress = true; options.plan_progress = true; }
         else if (arg == "--traces") { options.plan_traces = true; }
         else if (arg == "--timelines") { options.plan_timelines = true; }
@@ -232,7 +230,6 @@ int cmd_plan(const Options& options) {
     channels.trace_all = options.plan_trace_all;
     channels.timelines = options.plan_timelines;
     channels.captures = options.plan_captures;
-    channels.profile = options.plan_profile;
     channels.progress = options.plan_progress;
     const CampaignPlan plan =
         plan_campaign(options.name, experiment1_grid(options.runs), options.shards, channels);

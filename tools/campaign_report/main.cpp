@@ -16,13 +16,14 @@
 //                    watchdog stragglers and every shard ending `done`
 //   --md FILE        write the markdown report to FILE (default: stdout
 //                    when neither --md nor --html is given)
-//   --html FILE      write the self-contained HTML report (flamegraph as
-//                    nested proportional divs) to FILE
+//   --html FILE      write the self-contained HTML report to FILE
 //   --check          gate mode: exit 1 when the campaign is empty, any
 //                    input line is unparsable, or any complete trace set
 //                    disagrees with its series' events_total counter
-//   --budgets F      with --check: also gate prof.span.* sim-time shares
-//                    against the budget file (bench/campaign_budgets.json)
+//   --budgets F      with --check: also gate the airtime share (summed
+//                    tx airtime over summed simulated trial time, read from
+//                    the --traces traces, which it requires) against the
+//                    budget file (bench/campaign_budgets.json)
 //   --diff A B       differential mode: per-series outcome deltas (success
 //                    rate, attempt percentiles) between two campaigns
 //
@@ -30,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,9 +45,9 @@ void print_usage(const char* argv0) {
                  "       %*s [--check] [--budgets FILE] <results.jsonl[.gz]>...\n"
                  "       campaign_report --diff <A.jsonl> <B.jsonl> [--md FILE]\n"
                  "  Aggregates INJECTABLE_JSON campaign records into one report:\n"
-                 "  per-series tables, counters, log2 histograms, the profiler\n"
-                 "  flamegraph, (with --traces) event-count drift, and (with\n"
-                 "  --telemetry) the leader's wall-clock campaign telemetry.\n",
+                 "  per-series tables, counters, log2 histograms, (with --traces)\n"
+                 "  event-count drift and the airtime budget (--budgets), and\n"
+                 "  (with --telemetry) the leader's wall-clock campaign telemetry.\n",
                  argv0, static_cast<int>(std::strlen(argv0)), "");
 }
 
@@ -131,6 +133,11 @@ int main(int argc, char** argv) {
         print_usage(argv[0]);
         return 2;
     }
+    if (!budgets_path.empty() && traces_dir.empty()) {
+        std::fprintf(stderr, "%s: --budgets reads airtime from the traces; pass --traces DIR\n",
+                     argv[0]);
+        return 2;
+    }
 
     if (diff) {
         if (json_paths.size() != 2) {
@@ -187,13 +194,18 @@ int main(int argc, char** argv) {
         }
         if (!budgets_path.empty()) {
             std::vector<std::string> budget_errors;
-            const std::vector<SpanBudget> budgets = load_budgets(budgets_path, budget_errors);
+            const std::optional<double> max_share =
+                load_airtime_budget(budgets_path, budget_errors);
             for (const std::string& e : budget_errors) {
                 result.problems.push_back("budgets: " + e);
             }
-            const CheckResult budget_result = check_span_budgets(campaign, budgets);
-            result.problems.insert(result.problems.end(), budget_result.problems.begin(),
-                                   budget_result.problems.end());
+            if (max_share) {
+                const CheckResult budget_result = check_airtime_budget(drift, *max_share);
+                result.problems.insert(result.problems.end(), budget_result.problems.begin(),
+                                       budget_result.problems.end());
+                std::fprintf(stderr, "campaign_report: airtime share %.4f (budget %.4f)\n",
+                             airtime_share(drift), *max_share);
+            }
             result.ok = result.problems.empty();
         }
         if (!result.ok) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 
 #include "common/json.hpp"
 #include "obs/sinks.hpp"
@@ -14,10 +16,14 @@ namespace {
 
 namespace json = ble::json;
 
-constexpr std::string_view kStackPrefix = "prof.stack.";
-constexpr std::string_view kSpanPrefix = "prof.span.";
-
 std::string u64_str(std::uint64_t v) { return std::to_string(v); }
+
+/// Integer after `key` (e.g. "\"t_ns\":") in one trace line, if present.
+std::optional<std::int64_t> int_field(const std::string& line, std::string_view key) {
+    const std::size_t at = line.find(key);
+    if (at == std::string::npos) return std::nullopt;
+    return std::strtoll(line.c_str() + at + key.size(), nullptr, 10);
+}
 
 std::string pct_str(std::uint64_t part, std::uint64_t whole) {
     char buf[32];
@@ -137,40 +143,6 @@ bool parse_series_line(const std::string& line, const std::string& source,
     return true;
 }
 
-/// Splits "a;b;c" into path components.
-std::vector<std::string> split_stack(std::string_view stack) {
-    std::vector<std::string> parts;
-    while (!stack.empty()) {
-        const std::size_t semi = stack.find(';');
-        parts.emplace_back(stack.substr(0, semi));
-        if (semi == std::string_view::npos) break;
-        stack.remove_prefix(semi + 1);
-    }
-    return parts;
-}
-
-struct SpanAgg {
-    std::uint64_t count = 0;
-    std::uint64_t sim_us = 0;
-};
-
-/// prof.span.<name>.count / .sim_us counters folded across every series.
-std::map<std::string, SpanAgg> aggregate_spans(const CampaignData& campaign) {
-    std::map<std::string, SpanAgg> spans;
-    for (const SeriesRecord& series : campaign.series) {
-        for (const auto& [name, value] : series.counters) {
-            if (name.rfind(kSpanPrefix, 0) != 0) continue;
-            const std::string_view rest = std::string_view(name).substr(kSpanPrefix.size());
-            if (rest.ends_with(".count")) {
-                spans[std::string(rest.substr(0, rest.size() - 6))].count += value;
-            } else if (rest.ends_with(".sim_us")) {
-                spans[std::string(rest.substr(0, rest.size() - 7))].sim_us += value;
-            }
-        }
-    }
-    return spans;
-}
-
 std::uint64_t total_trials(const CampaignData& campaign) {
     std::uint64_t n = 0;
     for (const SeriesRecord& s : campaign.series) n += s.trials.size();
@@ -192,51 +164,6 @@ int attempts_percentile(std::vector<int> attempts, int pct) {
     const std::size_t rank =
         (attempts.size() * static_cast<std::size_t>(pct) + 99) / 100;
     return attempts[rank == 0 ? 0 : rank - 1];
-}
-
-void render_flame_text(std::string& out, const FlameNode& node, std::uint64_t root_total,
-                       const std::string& indent) {
-    for (const auto& [name, child] : node.children) {
-        const std::uint64_t total = child.total_count();
-        out += indent + name + "  " + bar(total, root_total, 30) + " " +
-               pct_str(total, root_total) + " (" + u64_str(total) + " spans, " +
-               u64_str(child.total_sim_us()) + " sim-us)\n";
-        render_flame_text(out, child, root_total, indent + "  ");
-    }
-}
-
-void collect_collapsed(std::string& out, const FlameNode& node, const std::string& prefix) {
-    for (const auto& [name, child] : node.children) {
-        const std::string path = prefix.empty() ? name : prefix + ";" + name;
-        if (child.count > 0) out += path + " " + u64_str(child.count) + "\n";
-        collect_collapsed(out, child, path);
-    }
-}
-
-void render_flame_html(std::string& out, const FlameNode& node, std::uint64_t parent_total,
-                       int depth) {
-    for (const auto& [name, child] : node.children) {
-        const std::uint64_t total = child.total_count();
-        char width[32];
-        std::snprintf(width, sizeof(width), "%.2f",
-                      parent_total == 0
-                          ? 0.0
-                          : 100.0 * static_cast<double>(total) /
-                                static_cast<double>(parent_total));
-        out += "<div class=\"frame d" + std::to_string(depth % 6) + "\" style=\"width:" +
-               width + "%\" title=\"";
-        html_escape(out, name);
-        out += ": " + u64_str(total) + " spans, " + u64_str(child.total_sim_us()) +
-               " sim-us\"><span>";
-        html_escape(out, name);
-        out += "</span>";
-        if (!child.children.empty()) {
-            out += "<div class=\"row\">";
-            render_flame_html(out, child, total, depth + 1);
-            out += "</div>";
-        }
-        out += "</div>";
-    }
 }
 
 std::string render_histogram(const std::string& name, const HistRecord& hist) {
@@ -291,25 +218,11 @@ std::string series_table(const CampaignData& campaign) {
 std::string counters_table(const CampaignData& campaign) {
     std::map<std::string, std::uint64_t> totals;
     for (const SeriesRecord& s : campaign.series) {
-        for (const auto& [name, value] : s.counters) {
-            if (name.rfind("prof.", 0) == 0) continue;  // profiler gets its own section
-            totals[name] += value;
-        }
+        for (const auto& [name, value] : s.counters) totals[name] += value;
     }
     std::string out = "| counter | total |\n|---|---|\n";
     for (const auto& [name, value] : totals) {
         out += "| " + name + " | " + u64_str(value) + " |\n";
-    }
-    return out;
-}
-
-std::string span_table(const CampaignData& campaign) {
-    const auto spans = aggregate_spans(campaign);
-    if (spans.empty()) return {};
-    std::string out = "| span | count | sim-time (us) |\n|---|---|---|\n";
-    for (const auto& [name, agg] : spans) {
-        out += "| " + name + " | " + u64_str(agg.count) + " | " + u64_str(agg.sim_us) +
-               " |\n";
     }
     return out;
 }
@@ -408,8 +321,7 @@ std::map<int, std::vector<const ShardSpan*>> shards_by_worker(
     return by_worker;
 }
 
-/// Collapsed stacks — same flamegraph.pl input format as the profiler
-/// section, but the value is wall milliseconds, not span counts.
+/// Collapsed stacks (flamegraph.pl input); the value is wall milliseconds.
 std::string shard_collapsed(const TelemetryData& telemetry) {
     std::string out;
     for (const auto& [worker, spans] : shards_by_worker(telemetry)) {
@@ -422,8 +334,7 @@ std::string shard_collapsed(const TelemetryData& telemetry) {
 }
 
 /// Elapsed-proportional nested divs: one frame per worker (width = share of
-/// total shard wall time), one nested frame per shard.  Deliberately not
-/// render_flame_html — that one is count-proportional and labels sim-us.
+/// total shard wall time), one nested frame per shard.
 void render_shard_flame_html(std::string& out, const TelemetryData& telemetry) {
     const auto by_worker = shards_by_worker(telemetry);
     std::uint64_t total_ms = 0;
@@ -602,42 +513,6 @@ TelemetryData load_telemetry(const std::string& jsonl_path) {
     return telemetry;
 }
 
-std::uint64_t FlameNode::total_count() const {
-    std::uint64_t total = count;
-    for (const auto& [name, child] : children) total += child.total_count();
-    return total;
-}
-
-std::uint64_t FlameNode::total_sim_us() const {
-    std::uint64_t total = sim_us;
-    for (const auto& [name, child] : children) total += child.total_sim_us();
-    return total;
-}
-
-FlameNode build_flame(const CampaignData& campaign) {
-    FlameNode root;
-    for (const SeriesRecord& series : campaign.series) {
-        for (const auto& [name, value] : series.counters) {
-            if (name.rfind(kStackPrefix, 0) != 0) continue;
-            std::string_view rest = std::string_view(name).substr(kStackPrefix.size());
-            bool is_count = false;
-            if (rest.ends_with(".count")) {
-                is_count = true;
-                rest.remove_suffix(6);
-            } else if (rest.ends_with(".sim_us")) {
-                rest.remove_suffix(7);
-            } else {
-                continue;
-            }
-            FlameNode* node = &root;
-            for (const std::string& part : split_stack(rest)) node = &node->children[part];
-            if (is_count) node->count += value;
-            else node->sim_us += value;
-        }
-    }
-    return root;
-}
-
 std::vector<DriftRow> compute_drift(const CampaignData& campaign,
                                     const std::string& traces_dir) {
     std::vector<DriftRow> rows;
@@ -657,10 +532,21 @@ std::vector<DriftRow> compute_drift(const CampaignData& campaign,
             if (lines.empty()) lines = ble::obs::read_jsonl_file(stem + ".gz", &error);
             if (lines.empty()) continue;
             ++row.traces_found;
+            std::optional<std::int64_t> t_min;
+            std::int64_t t_max = 0;
             for (const std::string& line : lines) {
                 if (line.rfind("{\"e\":\"meta\"", 0) == 0) continue;
                 ++row.trace_events;
+                if (const auto t = int_field(line, "\"t_ns\":")) {
+                    t_min = std::min(t_min.value_or(*t), *t);
+                    t_max = std::max(t_max, *t);
+                }
+                if (line.rfind("{\"e\":\"tx\"", 0) == 0) {
+                    row.tx_airtime_ns +=
+                        static_cast<std::uint64_t>(int_field(line, "\"dur_ns\":").value_or(0));
+                }
             }
+            if (t_min) row.sim_span_ns += static_cast<std::uint64_t>(t_max - *t_min);
         }
         rows.push_back(std::move(row));
     }
@@ -695,22 +581,6 @@ std::string render_markdown(const CampaignData& campaign, const std::vector<Drif
         }
     }
 
-    const std::string spans = span_table(campaign);
-    if (!spans.empty()) {
-        out += "## Profiler\n\nSim-time-attributed spans (INJECTABLE_PROF=1), merged "
-               "across every trial of every series.\n\n### Span totals\n\n" +
-               spans + "\n";
-        const FlameNode flame = build_flame(campaign);
-        if (!flame.children.empty()) {
-            const std::uint64_t root_total = flame.total_count();
-            out += "### Flamegraph (by span count)\n\n```\n";
-            render_flame_text(out, flame, root_total, "");
-            out += "```\n\nCollapsed stacks (flamegraph.pl input):\n\n```\n";
-            collect_collapsed(out, flame, "");
-            out += "```\n\n";
-        }
-    }
-
     if (have_traces) {
         out += "## Event-count drift\n\nNon-meta lines summed across each series' traces "
                "vs. its `events_total` counter; only a complete trace set can assert "
@@ -736,8 +606,7 @@ std::string render_html(const CampaignData& campaign, const std::vector<DriftRow
         ".frame{overflow:hidden;white-space:nowrap;font-size:0.75em;"
         "border:1px solid #fff;padding:1px 2px;box-sizing:border-box}\n"
         ".frame span{pointer-events:none}\n"
-        ".d0{background:#fcd9a0}.d1{background:#fbbf77}.d2{background:#f9a65a}\n"
-        ".d3{background:#f78d3f}.d4{background:#ef7028}.d5{background:#e35617}\n"
+        ".d0{background:#fcd9a0}.d1{background:#fbbf77}\n"
         "</style></head><body>\n<h1>Campaign report</h1>\n<p>";
     out += u64_str(campaign.series.size()) + " series, " + u64_str(total_trials(campaign)) +
            " trials, " + pct_str(total_successes(campaign), total_trials(campaign)) +
@@ -753,22 +622,6 @@ std::string render_html(const CampaignData& campaign, const std::vector<DriftRow
     }
     out += "<h2>Series</h2>\n" + md_table_to_html(series_table(campaign));
     out += "\n<h2>Outcome counters</h2>\n" + md_table_to_html(counters_table(campaign));
-
-    const std::string spans = span_table(campaign);
-    if (!spans.empty()) {
-        out += "\n<h2>Profiler</h2>\n<h3>Span totals</h3>\n" + md_table_to_html(spans);
-        const FlameNode flame = build_flame(campaign);
-        if (!flame.children.empty()) {
-            out += "\n<h3>Flamegraph (by span count)</h3>\n"
-                   "<div class=\"flame\"><div class=\"row\">";
-            render_flame_html(out, flame, flame.total_count(), 0);
-            out += "</div></div>\n<h3>Collapsed stacks</h3>\n<pre>";
-            std::string collapsed;
-            collect_collapsed(collapsed, flame, "");
-            html_escape(out, collapsed);
-            out += "</pre>\n";
-        }
-    }
 
     std::map<std::string, HistRecord> hists;
     for (const SeriesRecord& s : campaign.series) {
@@ -863,77 +716,67 @@ CheckResult check_campaign(const CampaignData& campaign, const std::vector<Drift
     return result;
 }
 
-std::vector<SpanBudget> load_budgets(const std::string& path,
-                                     std::vector<std::string>& errors) {
-    std::vector<SpanBudget> budgets;
+namespace {
+
+struct AirtimeTotals {
+    std::uint64_t airtime_ns = 0;
+    std::uint64_t span_ns = 0;
+};
+
+AirtimeTotals sum_airtime(const std::vector<DriftRow>& drift) {
+    AirtimeTotals totals;
+    for (const DriftRow& row : drift) {
+        totals.airtime_ns += row.tx_airtime_ns;
+        totals.span_ns += row.sim_span_ns;
+    }
+    return totals;
+}
+
+}  // namespace
+
+double airtime_share(const std::vector<DriftRow>& drift) {
+    const AirtimeTotals totals = sum_airtime(drift);
+    return totals.span_ns == 0 ? 0.0
+                               : static_cast<double>(totals.airtime_ns) /
+                                     static_cast<double>(totals.span_ns);
+}
+
+std::optional<double> load_airtime_budget(const std::string& path,
+                                          std::vector<std::string>& errors) {
     std::string error;
     const std::vector<std::string> lines = ble::obs::read_jsonl_file(path, &error);
     if (lines.empty()) {
         errors.push_back(path + ": " + (error.empty() ? "empty budget file" : error));
-        return budgets;
+        return std::nullopt;
     }
     std::string text;
     for (const std::string& line : lines) text += line;  // allow pretty-printed JSON
     const json::ParseResult parsed = json::parse(text);
-    if (!parsed.ok || !parsed.value.is_object()) {
-        errors.push_back(path + ": unparsable budget document");
-        return budgets;
-    }
-    if (parsed.value.string_at("e") != "campaign-budgets") {
+    if (!parsed.ok || !parsed.value.is_object() ||
+        parsed.value.string_at("e") != "campaign-budgets") {
         errors.push_back(path + ": not a campaign-budgets document");
-        return budgets;
+        return std::nullopt;
     }
-    const json::Value* entries = parsed.value.find("budgets");
-    if (entries == nullptr || !entries->is_array()) {
-        errors.push_back(path + ": no \"budgets\" array");
-        return budgets;
+    const double max_share = parsed.value.number("max_airtime_share", -1.0);
+    if (max_share < 0.0 || max_share > 1.0) {
+        errors.push_back(path + ": need \"max_airtime_share\" in [0,1]");
+        return std::nullopt;
     }
-    for (const json::Value& entry : entries->array) {
-        SpanBudget budget;
-        budget.span = entry.is_object() ? entry.string_at("span") : "";
-        budget.max_share = entry.is_object() ? entry.number("max_share", -1.0) : -1.0;
-        if (budget.span.empty() || budget.max_share < 0.0 || budget.max_share > 1.0) {
-            errors.push_back(path + ": bad budget entry (need span + max_share in [0,1])");
-            continue;
-        }
-        budgets.push_back(std::move(budget));
-    }
-    return budgets;
+    return max_share;
 }
 
-CheckResult check_span_budgets(const CampaignData& campaign,
-                               const std::vector<SpanBudget>& budgets) {
+CheckResult check_airtime_budget(const std::vector<DriftRow>& drift, double max_share) {
     CheckResult result;
-    if (budgets.empty()) {
-        result.ok = true;
-        return result;
-    }
-    const std::map<std::string, SpanAgg> spans = aggregate_spans(campaign);
-    const std::uint64_t profiled_total = build_flame(campaign).total_sim_us();
-    if (profiled_total == 0) {
-        result.problems.emplace_back(
-            "budgets given but the campaign has no profiler data (prof.* counters)");
-        result.ok = false;
-        return result;
-    }
-    for (const SpanBudget& budget : budgets) {
-        const auto it = spans.find(budget.span);
-        if (it == spans.end()) {
-            result.problems.push_back("budgeted span '" + budget.span +
-                                      "' not found in campaign (stale budget file?)");
-            continue;
-        }
-        const double share = static_cast<double>(it->second.sim_us) /
-                             static_cast<double>(profiled_total);
-        if (share > budget.max_share) {
-            char buffer[160];
-            std::snprintf(buffer, sizeof(buffer),
-                          "span '%s' share %.4f exceeds budget %.4f (%" PRIu64
-                          " / %" PRIu64 " sim-us)",
-                          budget.span.c_str(), share, budget.max_share, it->second.sim_us,
-                          profiled_total);
-            result.problems.emplace_back(buffer);
-        }
+    const AirtimeTotals totals = sum_airtime(drift);
+    if (totals.span_ns == 0) {
+        result.problems.emplace_back("airtime budget given but no trace was found");
+    } else if (const double share = airtime_share(drift); share > max_share) {
+        char buffer[160];
+        std::snprintf(buffer, sizeof(buffer),
+                      "airtime share %.4f exceeds budget %.4f (%" PRIu64 " / %" PRIu64
+                      " sim-ns)",
+                      share, max_share, totals.airtime_ns, totals.span_ns);
+        result.problems.emplace_back(buffer);
     }
     result.ok = result.problems.empty();
     return result;

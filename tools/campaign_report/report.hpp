@@ -8,11 +8,10 @@
 //
 //   * per-series outcome tables (success rate, attempt quartiles),
 //   * aggregate counters and log2-histogram renderings,
-//   * a flamegraph of the profiler's sim-time-attributed span stacks
-//     (prof.stack.* counters, DESIGN.md §9) in both collapsed-stack text
-//     (flamegraph.pl input) and a nested-div HTML view,
 //   * a recorded-vs-expected event-count drift check: the sum of non-meta
 //     lines across a series' traces must equal its `events_total` counter,
+//   * an airtime budget over the same traces (DESIGN.md §9): summed frame
+//     airtime over summed simulated trial time,
 //   * optionally (--telemetry) the leader's campaign telemetry JSONL:
 //     per-worker attribution, shard lifecycle spans and a shard-latency
 //     flamegraph, rendered in a section explicitly labeled wall-clock.
@@ -27,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,32 +86,20 @@ struct CampaignData {
 /// failures land in `errors`; parsable lines are kept regardless.
 [[nodiscard]] CampaignData load_campaign(const std::vector<std::string>& json_paths);
 
-/// Aggregate span-stack tree rebuilt from the prof.stack.<a;b;c>.count /
-/// .sim_us counters of every series.  Node values are self values (exactly
-/// what the profiler exported); total_count() adds the descendants back in.
-struct FlameNode {
-    std::uint64_t count = 0;
-    std::uint64_t sim_us = 0;
-    std::map<std::string, FlameNode> children;
-
-    [[nodiscard]] std::uint64_t total_count() const;
-    [[nodiscard]] std::uint64_t total_sim_us() const;
-};
-
-[[nodiscard]] FlameNode build_flame(const CampaignData& campaign);
-
 /// Per-series recorded-vs-expected event counts.  `expected_events` is the
 /// series' events_total counter; `trace_events` sums the non-meta lines of
 /// every trace found under the traces directory.  Only a complete series
 /// (every trial's trace present) can assert drift — partial trace sets (the
 /// default INJECTABLE_TRACE_DIR mode keeps failures only) are reported but
-/// not gated on.
+/// not gated on.  The same pass sums the airtime the airtime budget reads.
 struct DriftRow {
     std::string series;
     int trials = 0;
     int traces_found = 0;
     std::uint64_t trace_events = 0;
     std::uint64_t expected_events = 0;
+    std::uint64_t tx_airtime_ns = 0;  ///< sum of "tx" dur_ns over the traces found
+    std::uint64_t sim_span_ns = 0;    ///< sum over those traces of last - first t_ns
 
     [[nodiscard]] bool complete() const noexcept { return traces_found == trials; }
     [[nodiscard]] std::int64_t drift() const noexcept {
@@ -178,7 +166,8 @@ struct TelemetryData {
                                           const TelemetryData* telemetry = nullptr);
 
 /// Same content as one self-contained HTML page (inline CSS, no external
-/// assets) with the flamegraph as nested proportional divs.
+/// assets); the telemetry section draws its shard-latency flamegraph as
+/// nested proportional divs.
 [[nodiscard]] std::string render_html(const CampaignData& campaign,
                                       const std::vector<DriftRow>& drift, bool have_traces,
                                       const TelemetryData* telemetry = nullptr);
@@ -198,27 +187,22 @@ struct CheckResult {
 /// state is not `done` (a lost shard that was never successfully re-run).
 [[nodiscard]] CheckResult check_telemetry(const TelemetryData& telemetry);
 
-/// One sim-time budget line (bench/campaign_budgets.json): the campaign-wide
-/// prof.span.<span>.sim_us total divided by the total profiled sim time (the
-/// flamegraph root) must stay at or below max_share.  Spans nest, so a share
-/// is "fraction of all profiled time attributed to this span (inclusive)" —
-/// it regresses when the span grows relative to everything else.
-struct SpanBudget {
-    std::string span;
-    double max_share = 1.0;
-};
+/// Summed frame airtime over summed simulated trial time across every trace
+/// in `drift` — the share of simulated time some radio spends transmitting.
+/// Transmissions on different channels overlap, so it can exceed 1 in a
+/// crowded world.  0 when no trace was found.
+[[nodiscard]] double airtime_share(const std::vector<DriftRow>& drift);
 
-/// Parses {"e":"campaign-budgets","budgets":[{"span":S,"max_share":X},...]}.
-/// Unreadable files / malformed entries land in `errors`.
-[[nodiscard]] std::vector<SpanBudget> load_budgets(const std::string& path,
-                                                   std::vector<std::string>& errors);
+/// Parses {"e":"campaign-budgets","max_airtime_share":X} with X in [0, 1].
+/// An unreadable file or a malformed document lands in `errors`.
+[[nodiscard]] std::optional<double> load_airtime_budget(const std::string& path,
+                                                        std::vector<std::string>& errors);
 
-/// The `--budgets` gate: every budgeted span must exist in the campaign (a
-/// vanished span means the budget file is stale — that fails loudly, not
-/// silently) and hold its share.  A campaign with no profiler data at all
-/// fails too: budgets imply the run was expected to profile.
-[[nodiscard]] CheckResult check_span_budgets(const CampaignData& campaign,
-                                             const std::vector<SpanBudget>& budgets);
+/// The `--budgets` gate: airtime_share(drift) must stay at or below
+/// `max_share`.  Finding no trace at all fails too: a budget implies the
+/// campaign was expected to record traces.
+[[nodiscard]] CheckResult check_airtime_budget(const std::vector<DriftRow>& drift,
+                                               double max_share);
 
 /// `--diff A B`: per-series outcome deltas between two campaigns — success
 /// rates and attempt percentiles (p25/p50/p75), series matched by

@@ -1190,25 +1190,15 @@ Analysis analyze_paths(const std::vector<std::string>& roots, const Options& opt
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
 
-    // Phase 1: per-TU summaries, served from the content-hash cache when the
-    // file is unchanged.
+    // Phase 1: per-TU summaries.
     for (const std::string& file : files) {
         std::string source;
         if (!read_file(file, source)) {
             analysis.files_scanned = -1;
             return analysis;
         }
-        const std::uint64_t key = summary_cache_key(file, source);
-        FileSummary summary;
-        if (!options.cache_dir.empty() && cache_load(options.cache_dir, key, summary)) {
-            ++analysis.cache_hits;
-        } else {
-            summary = summarize_source(file, fixture_logical_path(file, source), source,
-                                       options);
-            ++analysis.cache_misses;
-            if (!options.cache_dir.empty()) cache_store(options.cache_dir, key, summary);
-        }
-        analysis.files.push_back(std::move(summary));
+        analysis.files.push_back(
+            summarize_source(file, fixture_logical_path(file, source), source, options));
         ++analysis.files_scanned;
     }
 

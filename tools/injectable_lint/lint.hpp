@@ -12,8 +12,8 @@
 // every translation unit into a FileSummary (per-TU findings plus the raw
 // material the whole-program rules need: include directives, enum
 // definitions, switch shapes, lock-acquisition nesting, suppression
-// directives), cached on disk keyed by content hash; phase 2 merges the
-// summaries and runs the cross-TU rules over the whole program.
+// directives); phase 2 merges the summaries and runs the cross-TU rules over
+// the whole program.
 //
 // Per-translation-unit rules:
 //
@@ -108,8 +108,7 @@
 // preprocessor expansion, no name lookup, no libclang.  Token patterns per
 // TU plus merged summaries are enough for every rule above, keep the tool
 // dependency-free, and make it fast enough to run as a tier-1 ctest over the
-// whole tree (the on-disk summary cache keeps warm runs cheaper than the old
-// single-phase scan).
+// whole tree.
 #pragma once
 
 #include <cstdint>
@@ -160,9 +159,6 @@ struct Options {
     std::vector<std::string> w1_enums = {"WireType",    "ShardState",       "RxVerdict",
                                          "CommandType", "NotificationType", "CaptureFormat",
                                          "VantageKind"};
-    /// Directory for the phase-1 summary cache, keyed by (path, content)
-    /// hash.  Empty disables caching; the directory is created on demand.
-    std::string cache_dir;
 };
 
 // --- tokenizer (exposed for the self-tests) ---
@@ -255,32 +251,12 @@ struct FileSummary {
                                            std::string_view source,
                                            const Options& options = {});
 
-// --- phase-1 cache ---
-
-/// Content hash of (path, source, summary-format version) — the cache key.
-[[nodiscard]] std::uint64_t summary_cache_key(const std::string& path,
-                                              std::string_view source);
-
-/// Serialization of a FileSummary for the on-disk cache (stable, versioned
-/// line format; load rejects any version mismatch so stale entries read as
-/// cache misses).
-[[nodiscard]] std::string serialize_summary(const FileSummary& summary);
-[[nodiscard]] bool deserialize_summary(std::string_view text, FileSummary& out);
-
-/// Cache lookup/store under `cache_dir` (no-ops when it is empty).
-[[nodiscard]] bool cache_load(const std::string& cache_dir, std::uint64_t key,
-                              FileSummary& out);
-void cache_store(const std::string& cache_dir, std::uint64_t key,
-                 const FileSummary& summary);
-
 // --- phase 2: whole-program analysis ---
 
 struct Analysis {
     std::vector<FileSummary> files;  ///< sorted by reported path
     std::vector<Finding> findings;   ///< per-TU + cross-TU, per-file line order
     int files_scanned = 0;
-    int cache_hits = 0;
-    int cache_misses = 0;
 };
 
 /// The declared architecture layer of a logical path (or of an #include
@@ -294,7 +270,7 @@ struct Analysis {
 void run_cross_tu_rules(const std::vector<FileSummary>& files,
                         const Options& options, std::vector<Finding>& findings);
 
-/// Full two-phase run: phase 1 (cached) over every source file under
+/// Full two-phase run: phase 1 over every source file under
 /// `roots`, then phase 2 over the merged summaries.  files_scanned is -1 if
 /// any root is missing.
 [[nodiscard]] Analysis analyze_paths(const std::vector<std::string>& roots,
