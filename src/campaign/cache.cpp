@@ -19,8 +19,7 @@ bool ResultCache::accept(const WireMessage& message, std::string* error) {
     switch (message.type) {
         case WireType::kHello:
         case WireType::kWorkerDone:
-        case WireType::kProgress:
-        case WireType::kTelemetry: return true;  // informational, no task state
+        case WireType::kProgress: return true;  // informational, no task state
         case WireType::kError: return fail("worker error: " + message.message);
         case WireType::kTaskStart:
         case WireType::kTaskResults:
@@ -76,7 +75,6 @@ bool ResultCache::accept(const WireMessage& message, std::string* error) {
         case WireType::kProgress:
         case WireType::kWorkerDone:
         case WireType::kError:
-        case WireType::kTelemetry:
             break;  // already fully handled (returned) by the switch above
     }
     return fail("unhandled frame type");

@@ -54,80 +54,6 @@ private:
     std::string worker_error_;
 };
 
-class SocketEndpoint final : public Endpoint {
-public:
-    SocketEndpoint(SocketKind kind, std::string uds_dir, WorkerOptions options)
-        : kind_(kind), uds_dir_(std::move(uds_dir)), options_(options) {}
-
-    ~SocketEndpoint() override {
-        if (thread_.joinable()) thread_.join();
-        if (listen_fd_ >= 0) ::close(listen_fd_);
-        if (!uds_path_.empty()) ::unlink(uds_path_.c_str());
-    }
-
-    ByteStream* start(const CampaignPlan& plan, std::vector<int> task_ids,
-                      std::string* error) override {
-        int port = 0;
-        if (kind_ == SocketKind::kUds) {
-            uds_path_ = uds_dir_ + "/campaign-w" + std::to_string(options_.worker_id) + ".sock";
-            listen_fd_ = listen_uds(uds_path_, error);
-        } else {
-            listen_fd_ = listen_tcp_loopback(&port, error);
-        }
-        if (listen_fd_ < 0) return nullptr;
-
-        thread_ = std::thread([this, &plan, ids = std::move(task_ids), port] {
-            std::string connect_error;
-            const int fd = kind_ == SocketKind::kUds
-                               ? connect_uds(uds_path_, &connect_error)
-                               : connect_tcp_loopback(port, &connect_error);
-            if (fd < 0) {
-                ok_ = false;
-                worker_error_ = connect_error;
-                return;
-            }
-            FdStream worker_stream(fd);
-            ok_ = run_worker_tasks(plan, ids, worker_stream, options_, &worker_error_);
-        });
-
-        const int conn = accept_connection(listen_fd_, /*timeout_ms=*/10000, error);
-        if (conn < 0) {
-            interrupt();
-            return nullptr;
-        }
-        leader_ = std::make_unique<FdStream>(conn);
-        return leader_.get();
-    }
-
-    void interrupt() override {
-        // Dropping the leader-side fd makes the worker's next write fail and
-        // its run_worker_tasks return; finish() then reports the error.
-        leader_.reset();
-    }
-
-    bool finish(std::string* error) override {
-        if (thread_.joinable()) thread_.join();
-        if (!ok_ && error != nullptr) *error = worker_error_;
-        return ok_;
-    }
-
-    std::string describe() const override {
-        return std::string(kind_ == SocketKind::kUds ? "uds" : "tcp") + " worker " +
-               std::to_string(options_.worker_id);
-    }
-
-private:
-    SocketKind kind_;
-    std::string uds_dir_;
-    WorkerOptions options_;
-    std::string uds_path_;
-    int listen_fd_ = -1;
-    std::unique_ptr<ByteStream> leader_;
-    std::thread thread_;
-    bool ok_ = false;
-    std::string worker_error_;
-};
-
 class SpawnEndpoint final : public Endpoint {
 public:
     explicit SpawnEndpoint(SpawnOptions options) : options_(std::move(options)) {}
@@ -165,7 +91,6 @@ public:
             const std::string worker_id = std::to_string(options_.worker.worker_id);
             const std::string jobs = std::to_string(options_.worker.jobs);
             const std::string crash = std::to_string(options_.worker.crash_after_trials);
-            const std::string heartbeat = std::to_string(options_.worker.heartbeat_ms);
             const char* argv[] = {options_.binary.c_str(),
                                   "worker",
                                   "--plan",
@@ -178,8 +103,6 @@ public:
                                   jobs.c_str(),
                                   "--crash-after-trials",
                                   crash.c_str(),
-                                  "--heartbeat-ms",
-                                  heartbeat.c_str(),
                                   nullptr};
             ::execv(options_.binary.c_str(), const_cast<char* const*>(argv));
             _exit(127);
@@ -233,11 +156,6 @@ private:
 
 std::unique_ptr<Endpoint> make_inprocess_endpoint(WorkerOptions options) {
     return std::make_unique<InprocessEndpoint>(options);
-}
-
-std::unique_ptr<Endpoint> make_socket_endpoint(SocketKind kind, std::string uds_dir,
-                                               WorkerOptions options) {
-    return std::make_unique<SocketEndpoint>(kind, std::move(uds_dir), options);
 }
 
 std::unique_ptr<Endpoint> make_spawn_endpoint(SpawnOptions options) {

@@ -1,15 +1,13 @@
 // Endpoint: one launched worker behind one leader-side byte stream.
 //
-// The leader never cares how a worker runs — thread, socket peer, spawned
-// process — only that start() yields a readable stream of result frames and
-// finish() reports whether the worker ended cleanly.  Three stock transports:
+// The leader never cares how a worker runs — thread or spawned process —
+// only that start() yields a readable stream of result frames and finish()
+// reports whether the worker ended cleanly.  Two stock transports:
 //
 //  * in-process — worker runs on a std::thread over a conduit pair; zero
 //    syscalls, the reference transport for tests;
-//  * socket     — leader listens (UDS path or loopback TCP), worker thread
-//    connects and streams over the socket; exercises real fd framing;
 //  * spawn      — fork/exec `campaign_ctl worker`, frames arrive on the
-//    child's stdout pipe; the only transport that survives (and so can
+//    child's stdout pipe; the transport that survives (and so can
 //    fault-inject) a worker process death.
 //
 // An EndpointFactory lets the leader mint a fresh endpoint per worker per
@@ -37,8 +35,8 @@ public:
                                             std::vector<int> task_ids,
                                             std::string* error) = 0;
 
-    /// Best-effort hard stop (kill the process / drop the connection) for a
-    /// worker the leader has given up on.  Safe to call at any point.
+    /// Best-effort hard stop (kill the process) for a worker the leader has
+    /// given up on.  Safe to call at any point.
     virtual void interrupt() {}
 
     /// Reaps the worker after the stream is drained.  False (with *error)
@@ -53,19 +51,10 @@ using EndpointFactory = std::function<std::unique_ptr<Endpoint>(int worker, int 
 
 [[nodiscard]] std::unique_ptr<Endpoint> make_inprocess_endpoint(WorkerOptions options = {});
 
-enum class SocketKind { kUds, kTcp };
-
-/// Socket transport: leader listens, an in-process worker thread connects
-/// back and streams over the socket.  `uds_dir` holds per-worker socket
-/// files for kUds and is unused for kTcp (loopback, ephemeral port).
-[[nodiscard]] std::unique_ptr<Endpoint> make_socket_endpoint(SocketKind kind,
-                                                             std::string uds_dir,
-                                                             WorkerOptions options = {});
-
 struct SpawnOptions {
     std::string binary;     ///< campaign_ctl executable path
     std::string plan_path;  ///< plan JSON on disk (the child re-reads it)
-    WorkerOptions worker;   ///< worker_id / jobs / crash_after_trials / heartbeat_ms
+    WorkerOptions worker;   ///< worker_id / jobs / crash_after_trials
 };
 
 /// fork/exec `binary worker --plan ... --tasks ...`; frames on child stdout.

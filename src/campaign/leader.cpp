@@ -1,9 +1,6 @@
 #include "campaign/leader.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -12,7 +9,6 @@
 #include "campaign/cache.hpp"
 #include "campaign/wire.hpp"
 #include "common/framing.hpp"
-#include "common/time.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 
@@ -20,29 +16,19 @@ namespace injectable::campaign {
 
 namespace {
 
-/// How a drained stream ended (feeds telemetry stream/torn/timeout counters).
-struct DrainFlags {
-    bool torn = false;     ///< mid-frame EOF, decoder error, or bad frame
-    bool timeout = false;  ///< worker silent past the read timeout
-};
-
 /// Drains one endpoint stream into the cache.  Returns true on an orderly
 /// end (EOF with no torn frame); any other exit leaves uncommitted tasks to
-/// be abandoned by the caller.  `worker`/`round` tag telemetry events;
-/// `on_task_progress(task, done)` fires per Progress frame (campaign-wide
-/// progress aggregation).
+/// be abandoned by the caller.  `on_task_progress(task, done)` fires per
+/// Progress frame (campaign-wide progress aggregation).
 bool drain_stream(ByteStream& stream, int read_timeout_ms, ResultCache& cache,
-                  std::mutex& cache_mutex, int worker, int round,
-                  ble::obs::CampaignTelemetrySink* telemetry,
-                  const std::function<void(int, int)>& on_task_progress,
-                  DrainFlags& flags, std::string* error) {
+                  std::mutex& cache_mutex,
+                  const std::function<void(int, int)>& on_task_progress, std::string* error) {
     ble::common::FrameDecoder decoder;
     std::string chunk;
     for (;;) {
         chunk.clear();
         const ReadStatus status = stream.read_some(chunk, read_timeout_ms);
         if (status == ReadStatus::kTimeout) {
-            flags.timeout = true;
             *error = "worker silent past " + std::to_string(read_timeout_ms) + " ms";
             return false;
         }
@@ -51,39 +37,14 @@ bool drain_stream(ByteStream& stream, int read_timeout_ms, ResultCache& cache,
             return false;
         }
         if (status == ReadStatus::kData) decoder.feed(chunk);
-        std::uint64_t frames_in_chunk = 0;
         for (;;) {
             const std::optional<ble::common::Frame> frame = decoder.next();
             if (!frame.has_value()) break;
-            ++frames_in_chunk;
             WireMessage message;
             std::string decode_error;
             if (!decode_wire_message(*frame, message, &decode_error)) {
-                flags.torn = true;
                 *error = "bad frame: " + decode_error;
                 return false;
-            }
-            if (telemetry != nullptr) {
-                const std::int64_t now = ble::telemetry_now_ms();
-                // Only lifecycle frames feed telemetry spans; result/error
-                // frames are handled by the cache.accept() path below, which
-                // lint does hold to exhaustiveness.
-                // injectable-lint: allow(W1) -- deliberate subset: lifecycle frames only, the rest is cache.accept()'s exhaustive switch
-                switch (message.type) {
-                    case WireType::kTaskStart:
-                        telemetry->shard_accepted(message.task, worker, round, now);
-                        break;
-                    case WireType::kProgress:
-                        telemetry->shard_running(message.task, worker, round, now);
-                        break;
-                    case WireType::kTelemetry:
-                        telemetry->worker_heartbeat(message.telemetry, now);
-                        break;
-                    case WireType::kTaskDone:
-                        telemetry->shard_done(message.task, worker, round, now);
-                        break;
-                    default: break;
-                }
             }
             if (message.type == WireType::kProgress && on_task_progress) {
                 on_task_progress(message.task, message.done);
@@ -97,17 +58,12 @@ bool drain_stream(ByteStream& stream, int read_timeout_ms, ResultCache& cache,
                 return false;
             }
         }
-        if (telemetry != nullptr && (status == ReadStatus::kData || frames_in_chunk > 0)) {
-            telemetry->transport_read(worker, chunk.size(), frames_in_chunk);
-        }
         if (!decoder.error().empty()) {
-            flags.torn = true;
             *error = "frame decode: " + decoder.error();
             return false;
         }
         if (status == ReadStatus::kEof) {
             if (decoder.mid_frame()) {
-                flags.torn = true;
                 *error = "stream ended mid-frame";
                 return false;
             }
@@ -117,14 +73,9 @@ bool drain_stream(ByteStream& stream, int read_timeout_ms, ResultCache& cache,
 }
 
 void emit_status(const CampaignPlan& plan, const LeaderOptions& options, int round,
-                 int tasks_done, const std::vector<int>& pending,
-                 ble::obs::CampaignTelemetrySink* telemetry) {
+                 int tasks_done, const std::vector<int>& pending) {
     if (options.status_path.empty() && !options.on_status) return;
-    std::string status = campaign_status_json(plan, round, tasks_done, pending);
-    if (telemetry != nullptr) {
-        status.insert(status.size() - 1,
-                      telemetry->status_fields_json(ble::telemetry_now_ms()));
-    }
+    const std::string status = campaign_status_json(plan, round, tasks_done, pending);
     if (!options.status_path.empty()) {
         ble::obs::write_text_file(options.status_path, status + "\n");
     }
@@ -157,19 +108,6 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
     std::mutex cache_mutex;
     std::string last_error;
 
-    // Telemetry: use the caller's sink, or own one when a log path is given.
-    std::unique_ptr<ble::obs::CampaignTelemetrySink> owned_telemetry;
-    ble::obs::CampaignTelemetrySink* telemetry = options.telemetry;
-    if (telemetry == nullptr && !options.telemetry_path.empty()) {
-        ble::obs::TelemetrySinkParams params;
-        params.campaign = plan.name;
-        params.jsonl_path = options.telemetry_path;
-        params.total_trials = plan.total_trials();
-        params.straggler_factor = options.straggler_factor;
-        owned_telemetry = std::make_unique<ble::obs::CampaignTelemetrySink>(params);
-        telemetry = owned_telemetry.get();
-    }
-
     // Campaign-wide progress aggregation (the INJECTABLE_PROGRESS fix): the
     // per-task Progress frames from every worker fold into one leader-side
     // trials-done line on the edge sink.  The sink is not assumed
@@ -191,39 +129,10 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
         sink.on_progress(plan.name, total_done, trials_total);
     };
 
-    // Live status + straggler watchdog: while a round is in flight, refresh
-    // the status document and run the watchdog every status_refresh_ms.
-    std::atomic<int> current_round{0};
-    std::atomic<bool> stop_watch{false};
-    std::mutex watch_mutex;
-    std::condition_variable watch_cv;
-    std::thread watch_thread;
-    if (telemetry != nullptr && options.status_refresh_ms > 0) {
-        watch_thread = std::thread([&] {
-            std::unique_lock lock(watch_mutex);
-            while (!stop_watch.load()) {
-                watch_cv.wait_for(lock, std::chrono::milliseconds(options.status_refresh_ms),
-                                  [&] { return stop_watch.load(); });
-                if (stop_watch.load()) break;
-                telemetry->check_stragglers(ble::telemetry_now_ms());
-                int done = 0;
-                std::vector<int> now_pending;
-                {
-                    const std::lock_guard cache_lock(cache_mutex);
-                    done = cache.done_count();
-                    now_pending = cache.pending();
-                }
-                emit_status(plan, options, current_round.load(), done, now_pending,
-                            telemetry);
-            }
-        });
-    }
-
     const int worker_slots = std::max(1, options.workers);
     for (int round = 0; round < std::max(1, options.max_rounds); ++round) {
         const std::vector<int> pending = cache.pending();
         if (pending.empty()) break;
-        current_round.store(round);
         outcome.rounds = round + 1;
         if (round > 0) outcome.reissued_tasks += static_cast<int>(pending.size());
 
@@ -240,7 +149,6 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
             std::vector<int> tasks;
             std::thread reader;
             bool drained_ok = false;
-            DrainFlags flags;
             std::string error;
         };
         std::vector<Slot> slots(static_cast<std::size_t>(active));
@@ -248,14 +156,6 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
             Slot& slot = slots[static_cast<std::size_t>(w)];
             slot.id = w;
             slot.tasks = assignment[static_cast<std::size_t>(w)];
-            if (telemetry != nullptr) {
-                const std::int64_t now = ble::telemetry_now_ms();
-                for (const int task : slot.tasks) {
-                    const ShardTask& t = plan.tasks[static_cast<std::size_t>(task)];
-                    telemetry->shard_issued(task, t.series, t.count, w, round, now,
-                                            round > 0);
-                }
-            }
             slot.endpoint = factory(w, round);
             if (!slot.endpoint) {
                 slot.error = "endpoint factory returned null";
@@ -264,10 +164,9 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
             ByteStream* stream = slot.endpoint->start(plan, slot.tasks, &slot.error);
             if (stream == nullptr) continue;
             slot.reader = std::thread([stream, &slot, &cache, &cache_mutex, &options,
-                                       telemetry, round, &on_task_progress] {
+                                       &on_task_progress] {
                 slot.drained_ok = drain_stream(*stream, options.read_timeout_ms, cache,
-                                               cache_mutex, slot.id, round, telemetry,
-                                               on_task_progress, slot.flags, &slot.error);
+                                               cache_mutex, on_task_progress, &slot.error);
             });
         }
 
@@ -277,10 +176,6 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
             if (!slot.drained_ok) slot.endpoint->interrupt();
             std::string finish_error;
             const bool finished_ok = slot.endpoint->finish(&finish_error);
-            if (telemetry != nullptr) {
-                telemetry->stream_closed(slot.id, round, slot.drained_ok && finished_ok,
-                                         slot.flags.torn, slot.flags.timeout);
-            }
             if (!slot.drained_ok || !finished_ok) {
                 std::string why = slot.error;
                 if (!finished_ok && !finish_error.empty()) {
@@ -289,34 +184,16 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
                 }
                 last_error = slot.endpoint->describe() + ": " + why;
                 const std::lock_guard lock(cache_mutex);
-                for (const int task : slot.tasks) cache.abandon(task);
-                if (telemetry != nullptr) {
-                    const std::int64_t now = ble::telemetry_now_ms();
-                    for (const int task : slot.tasks) {
-                        if (cache.output(task).done) continue;
-                        telemetry->shard_lost(task, slot.id, round, now, why);
-                        // Lost progress is re-earned by the re-issued attempt.
-                        const std::lock_guard progress_lock(progress_mutex);
-                        task_done[static_cast<std::size_t>(task)] = 0;
-                    }
+                const std::lock_guard progress_lock(progress_mutex);
+                for (const int task : slot.tasks) {
+                    cache.abandon(task);
+                    // Lost progress is re-earned by the re-issued attempt.
+                    if (!cache.output(task).done) task_done[static_cast<std::size_t>(task)] = 0;
                 }
             }
         }
 
-        emit_status(plan, options, round, cache.done_count(), cache.pending(), telemetry);
-    }
-
-    if (watch_thread.joinable()) {
-        {
-            const std::lock_guard lock(watch_mutex);
-            stop_watch.store(true);
-        }
-        watch_cv.notify_all();
-        watch_thread.join();
-    }
-    if (telemetry != nullptr) {
-        telemetry->check_stragglers(ble::telemetry_now_ms());
-        outcome.stragglers = telemetry->straggler_count();
+        emit_status(plan, options, outcome.rounds, cache.done_count(), cache.pending());
     }
 
     if (!cache.complete()) {
@@ -324,13 +201,11 @@ CampaignOutcome run_campaign(const CampaignPlan& plan, const EndpointFactory& fa
                         " round(s); " + std::to_string(cache.pending().size()) +
                         " task(s) unfinished";
         if (!last_error.empty()) outcome.error += " (last failure: " + last_error + ")";
-        if (telemetry != nullptr) telemetry->close(ble::telemetry_now_ms());
         return outcome;
     }
 
     merge_into_sink(plan, cache, sink);
-    emit_status(plan, options, outcome.rounds, cache.done_count(), {}, telemetry);
-    if (telemetry != nullptr) telemetry->close(ble::telemetry_now_ms());
+    emit_status(plan, options, outcome.rounds, cache.done_count(), {});
     outcome.ok = true;
     return outcome;
 }

@@ -20,7 +20,6 @@
 #include "campaign/cache.hpp"
 #include "campaign/endpoint.hpp"
 #include "campaign/plan.hpp"
-#include "obs/telemetry.hpp"
 #include "world/result_sink.hpp"
 
 namespace injectable::campaign {
@@ -32,29 +31,16 @@ struct LeaderOptions {
     int max_rounds = 5;
     /// Per-read stream timeout; a silent worker past this is abandoned.
     int read_timeout_ms = 120000;
-    /// Optional path for a JSON status heartbeat written each round.
+    /// Optional path for the JSON status document written each round.
     std::string status_path;
     /// Optional callback receiving the same status JSON.
     std::function<void(const std::string&)> on_status;
-    /// Telemetry JSONL path; non-empty makes the leader own a
-    /// CampaignTelemetrySink for the run (ignored when `telemetry` is set).
-    std::string telemetry_path;
-    /// External telemetry sink (tests; campaign_ctl when it wants the sink
-    /// after the run).  Not owned.  The leader closes it when the run ends.
-    ble::obs::CampaignTelemetrySink* telemetry = nullptr;
-    /// Straggler watchdog threshold (multiple of median shard latency) for a
-    /// leader-owned sink; <= 0 disables.
-    double straggler_factor = 4.0;
-    /// Live status/watchdog refresh period while a round is in flight; <= 0
-    /// keeps the legacy once-per-round status writes only.
-    int status_refresh_ms = 0;
 };
 
 struct CampaignOutcome {
     bool ok = false;
     int rounds = 0;         ///< issue rounds actually run
     int reissued_tasks = 0; ///< task attempts beyond the first round
-    int stragglers = 0;     ///< shard attempts the watchdog flagged
     std::string error;
 };
 
@@ -71,11 +57,11 @@ struct CampaignOutcome {
 void merge_into_sink(const CampaignPlan& plan, const ResultCache& cache,
                      world::ResultSink& sink);
 
-/// JSON status document: {"campaign","tasks_total","tasks_done","round",
-/// "pending":[...]} — written to status_path / on_status each round.
-/// When a telemetry sink is live its status_fields_json() (trials done,
-/// shard state counts, per-worker throughput, stragglers, ETA) is spliced in
-/// before the closing brace.
+/// JSON status document: {"campaign","round","tasks_total","tasks_done",
+/// "trials_total","pending":[...]} — written to status_path / on_status
+/// after each round and once more after the merge.  `round` counts the
+/// issue rounds run so far, so a failed campaign's last document agrees
+/// with its "incomplete after N round(s)" error.
 [[nodiscard]] std::string campaign_status_json(const CampaignPlan& plan, int round,
                                                int tasks_done,
                                                const std::vector<int>& pending);

@@ -176,18 +176,22 @@ bool plan_from_json(const std::string& text, CampaignPlan& out, std::string* err
         ShardTask task;
         task.id = static_cast<int>(entry.i64("id", -1));
         task.series = static_cast<int>(entry.i64("series", -1));
-        task.first = static_cast<int>(entry.i64("first", 0));
-        task.count = static_cast<int>(entry.i64("count", 0));
         if (task.id != static_cast<int>(out.tasks.size())) {
             return fail("task ids must be dense and ordered");
         }
         if (task.series < 0 || task.series >= static_cast<int>(out.series.size())) {
             return fail("task " + std::to_string(task.id) + " references unknown series");
         }
-        if (task.first < 0 || task.count < 0 ||
-            task.first + task.count > out.series[static_cast<std::size_t>(task.series)].runs) {
+        // Range-check in 64 bits before narrowing: a hostile plan must not
+        // overflow first + count.
+        const std::int64_t runs = out.series[static_cast<std::size_t>(task.series)].runs;
+        const std::int64_t first = entry.i64("first", 0);
+        const std::int64_t count = entry.i64("count", 0);
+        if (first < 0 || count < 0 || first > runs || count > runs - first) {
             return fail("task " + std::to_string(task.id) + " slice out of range");
         }
+        task.first = static_cast<int>(first);
+        task.count = static_cast<int>(count);
         out.tasks.push_back(task);
     }
     return true;

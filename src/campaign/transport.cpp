@@ -2,13 +2,8 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 namespace injectable::campaign {
@@ -17,10 +12,6 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-std::string errno_string(const char* what) {
-    return std::string(what) + ": " + std::strerror(errno);
-}
-
 }  // namespace
 
 FdStream::~FdStream() {
@@ -28,12 +19,11 @@ FdStream::~FdStream() {
 }
 
 bool FdStream::write(std::string_view bytes) {
-    if (fd_ < 0 || write_closed_) return false;
+    if (fd_ < 0) return false;
     std::size_t off = 0;
     while (off < bytes.size()) {
-        // MSG_NOSIGNAL is socket-only; a closed pipe raises SIGPIPE instead,
-        // so writes go through plain write() with SIGPIPE ignored by callers
-        // that spawn workers (campaign_ctl / the endpoint layer).
+        // A closed pipe raises SIGPIPE, so callers that spawn workers
+        // (campaign_ctl) ignore SIGPIPE and see the failed write instead.
         const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
         if (n < 0) {
             if (errno == EINTR) continue;
@@ -73,15 +63,9 @@ ReadStatus FdStream::read_some(std::string& out, int timeout_ms) {
 }
 
 void FdStream::close_write() {
-    if (fd_ < 0 || write_closed_) return;
-    write_closed_ = true;
-    if (::shutdown(fd_, SHUT_WR) == 0) return;
-    if (errno == ENOTSOCK) {
-        // Pipes have no half-close; the read side (if any) is a separate fd,
-        // so closing is the only way to deliver EOF.
-        ::close(fd_);
-        fd_ = -1;
-    }
+    if (fd_ < 0) return;
+    ::close(fd_);
+    fd_ = -1;
 }
 
 void Conduit::push(std::string_view bytes) {
@@ -135,123 +119,6 @@ ConduitPair make_conduit_pair() {
     pair.leader = std::make_unique<ConduitStream>(to_leader, to_worker);
     pair.worker = std::make_unique<ConduitStream>(to_worker, to_leader);
     return pair;
-}
-
-int listen_uds(const std::string& path, std::string* error) {
-    struct sockaddr_un addr;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        if (error != nullptr) *error = "UDS path too long: " + path;
-        return -1;
-    }
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (error != nullptr) *error = errno_string("socket(AF_UNIX)");
-        return -1;
-    }
-    ::unlink(path.c_str());
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size());
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 8) != 0) {
-        if (error != nullptr) *error = errno_string(("bind/listen " + path).c_str());
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-int listen_tcp_loopback(int* port_out, std::string* error) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (error != nullptr) *error = errno_string("socket(AF_INET)");
-        return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;  // ephemeral
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 8) != 0) {
-        if (error != nullptr) *error = errno_string("bind/listen 127.0.0.1");
-        ::close(fd);
-        return -1;
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) != 0) {
-        if (error != nullptr) *error = errno_string("getsockname");
-        ::close(fd);
-        return -1;
-    }
-    if (port_out != nullptr) *port_out = static_cast<int>(ntohs(addr.sin_port));
-    return fd;
-}
-
-int accept_connection(int listen_fd, int timeout_ms, std::string* error) {
-    struct pollfd pfd;
-    pfd.fd = listen_fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    for (;;) {
-        const int rc = ::poll(&pfd, 1, timeout_ms);
-        if (rc < 0) {
-            if (errno == EINTR) continue;
-            if (error != nullptr) *error = errno_string("poll(listen)");
-            return -1;
-        }
-        if (rc == 0) {
-            if (error != nullptr) *error = "accept timed out";
-            return -1;
-        }
-        break;
-    }
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0 && error != nullptr) *error = errno_string("accept");
-    return fd;
-}
-
-int connect_uds(const std::string& path, std::string* error) {
-    struct sockaddr_un addr;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        if (error != nullptr) *error = "UDS path too long: " + path;
-        return -1;
-    }
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (error != nullptr) *error = errno_string("socket(AF_UNIX)");
-        return -1;
-    }
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size());
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
-        if (error != nullptr) *error = errno_string(("connect " + path).c_str());
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-int connect_tcp_loopback(int port, std::string* error) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (error != nullptr) *error = errno_string("socket(AF_INET)");
-        return -1;
-    }
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
-        if (error != nullptr) *error = errno_string("connect 127.0.0.1");
-        ::close(fd);
-        return -1;
-    }
-    return fd;
 }
 
 }  // namespace injectable::campaign

@@ -3,14 +3,14 @@
 // The leader/worker protocol needs nothing from a transport but ordered
 // bytes and a detectable end-of-stream, so everything is a ByteStream:
 //
-//  * FdStream  — any POSIX fd (pipe to a spawned worker, UDS, TCP socket);
-//    reads are poll()-bounded so a hung worker turns into a timeout the
-//    leader converts into task re-issue instead of a wedged campaign;
+//  * FdStream  — a POSIX fd (the pipe to a spawned worker, or a worker's
+//    stdout); reads are poll()-bounded so a hung worker turns into a
+//    timeout the leader converts into task re-issue instead of a wedged
+//    campaign;
 //  * Conduit / ConduitStream — an in-memory pipe pair for in-process
 //    workers (threads) and for tests.
 //
-// Listener/connector helpers cover the socket transports (UDS, loopback
-// TCP); process spawning lives in endpoint.cpp.
+// Process spawning lives in endpoint.cpp.
 #pragma once
 
 #include <condition_variable>
@@ -40,12 +40,12 @@ public:
     /// forever) to `out`.
     [[nodiscard]] virtual ReadStatus read_some(std::string& out, int timeout_ms) = 0;
 
-    /// Signals end-of-stream to the peer (half-close where supported).
+    /// Signals end-of-stream to the peer.
     virtual void close_write() = 0;
 };
 
-/// Owns a POSIX fd.  `close_write` uses shutdown(SHUT_WR) for sockets and
-/// close() for pipes (fds where shutdown() fails with ENOTSOCK).
+/// Owns a POSIX fd.  Pipes have no half-close, so `close_write` closes the
+/// fd: that is the only way to deliver EOF to the reading end.
 class FdStream final : public ByteStream {
 public:
     explicit FdStream(int fd) : fd_(fd) {}
@@ -61,7 +61,6 @@ public:
 
 private:
     int fd_ = -1;
-    bool write_closed_ = false;
 };
 
 /// One direction of an in-memory pipe: a mutex/condvar-guarded byte buffer
@@ -100,17 +99,5 @@ struct ConduitPair {
     std::unique_ptr<ByteStream> worker;  ///< worker end
 };
 [[nodiscard]] ConduitPair make_conduit_pair();
-
-// ---------------------------------------------------------------------------
-// Socket helpers (every function returns -1 and sets *error on failure).
-
-/// Binds + listens on a filesystem UDS path (unlinking any stale socket).
-[[nodiscard]] int listen_uds(const std::string& path, std::string* error);
-/// Binds + listens on 127.0.0.1; `*port_out` receives the (ephemeral) port.
-[[nodiscard]] int listen_tcp_loopback(int* port_out, std::string* error);
-/// Accepts one connection (poll-bounded); closes nothing on timeout.
-[[nodiscard]] int accept_connection(int listen_fd, int timeout_ms, std::string* error);
-[[nodiscard]] int connect_uds(const std::string& path, std::string* error);
-[[nodiscard]] int connect_tcp_loopback(int port, std::string* error);
 
 }  // namespace injectable::campaign

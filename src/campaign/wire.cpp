@@ -72,10 +72,6 @@ std::string encode_error(int worker, const std::string& message) {
     return frame_of(WireType::kError, payload);
 }
 
-std::string encode_telemetry(const ble::obs::WorkerTelemetry& telemetry) {
-    return frame_of(WireType::kTelemetry, ble::obs::worker_telemetry_to_json(telemetry));
-}
-
 bool decode_wire_message(const ble::common::Frame& frame, WireMessage& out, std::string* error) {
     auto fail = [&](std::string message) {
         if (error != nullptr) *error = std::move(message);
@@ -92,8 +88,7 @@ bool decode_wire_message(const ble::common::Frame& frame, WireMessage& out, std:
         case WireType::kProgress:
         case WireType::kTaskDone:
         case WireType::kWorkerDone:
-        case WireType::kError:
-        case WireType::kTelemetry: break;
+        case WireType::kError: break;
         default: return fail("unknown frame type " + std::to_string(frame.type));
     }
     out.type = type;
@@ -149,32 +144,6 @@ bool decode_wire_message(const ble::common::Frame& frame, WireMessage& out, std:
             out.total = static_cast<int>(doc.i64("total"));
             break;
         case WireType::kError: out.message = doc.string_at("message"); break;
-        case WireType::kTelemetry: {
-            ble::obs::WorkerTelemetry& t = out.telemetry;
-            t.worker = out.worker;
-            t.task = out.task;
-            t.t_ms = doc.i64("t_ms");
-            t.trials_done = static_cast<int>(doc.i64("trials_done"));
-            t.trials_total = static_cast<int>(doc.i64("trials_total"));
-            t.tx_frames = doc.u64("tx_frames");
-            t.tx_bytes = doc.u64("tx_bytes");
-            t.final_snapshot = doc.boolean_at("final");
-            if (const ble::json::Value* counters = doc.find("counters"); counters != nullptr) {
-                if (!counters->is_object()) return fail("Telemetry \"counters\" is not an object");
-                for (const auto& [name, value] : counters->object)
-                    t.counters[name] = value.as_u64();
-            }
-            if (const ble::json::Value* hists = doc.find("hists"); hists != nullptr) {
-                if (!hists->is_object()) return fail("Telemetry \"hists\" is not an object");
-                for (const auto& [name, value] : hists->object) {
-                    if (!value.is_object()) return fail("Telemetry hist entry is not an object");
-                    ble::obs::HistTotal& h = t.hists[name];
-                    h.n = value.u64("n");
-                    h.sum = value.u64("sum");
-                }
-            }
-            break;
-        }
         case WireType::kHello:
         case WireType::kTaskStart:
         case WireType::kTaskDone:

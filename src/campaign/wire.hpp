@@ -8,20 +8,11 @@
 //
 // Per task the well-formed sequence is
 //
-//   TaskStart, (Artifact | Progress | Telemetry)*, TaskResults, [TaskMetrics], TaskDone
+//   TaskStart, (Artifact | Progress)*, TaskResults, [TaskMetrics], TaskDone
 //
 // and the leader's ResultCache buffers everything between TaskStart and
-// TaskDone: a stream that dies mid-task (crash, dropped connection, torn
-// frame) contributes nothing for that task, which is what makes re-issue
-// safe.
-//
-// Telemetry frames are informational (never cached, never merged into
-// results): periodic heartbeats plus, at task end, a compact snapshot of the
-// worker's MetricsRegistry totals.  They may also appear
-// outside a task window (the worker announces itself with one right after
-// Hello).  Dropping every Telemetry frame changes nothing about the merged
-// campaign output — that is the determinism boundary DESIGN.md §12 pins
-// down.
+// TaskDone: a stream that dies mid-task (crash, closed pipe, torn frame)
+// contributes nothing for that task, which is what makes re-issue safe.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +21,6 @@
 
 #include "common/framing.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "world/experiment.hpp"
 
 namespace injectable::campaign {
@@ -45,7 +35,7 @@ enum class WireType : std::uint32_t {
     kTaskDone = 7,     ///< {"task":id}
     kWorkerDone = 8,   ///< {"worker":id} — clean end of stream
     kError = 9,        ///< {"worker":id,"message":m} — fatal worker error
-    kTelemetry = 10,   ///< obs::WorkerTelemetry heartbeat / task-end snapshot
+    // 10 is unused: a retired frame type, rejected by the decoder as unknown.
 };
 
 /// One decoded message (a tagged union kept flat for simplicity).
@@ -59,7 +49,6 @@ struct WireMessage {
     int done = 0;
     int total = 0;
     std::string message;  ///< kError text
-    ble::obs::WorkerTelemetry telemetry;  ///< kTelemetry body
 };
 
 // Encoders: each returns one fully framed byte string ready for a stream.
@@ -74,7 +63,6 @@ struct WireMessage {
 [[nodiscard]] std::string encode_task_done(int task);
 [[nodiscard]] std::string encode_worker_done(int worker);
 [[nodiscard]] std::string encode_error(int worker, const std::string& message);
-[[nodiscard]] std::string encode_telemetry(const ble::obs::WorkerTelemetry& telemetry);
 
 /// Decodes one frame into a WireMessage.  Returns false and sets *error on
 /// unknown types or malformed payloads.

@@ -7,9 +7,8 @@
 // a worker that dies mid-task simply never sends that task's TaskDone and
 // the leader re-issues it.
 //
-// The same entry point serves every transport: in-process threads hand it a
-// ConduitStream, socket workers an FdStream over their connection, spawned
-// workers (campaign_ctl worker) an FdStream on stdout.
+// The same entry point serves both transports: in-process threads hand it a
+// ConduitStream, spawned workers (campaign_ctl worker) an FdStream on stdout.
 #pragma once
 
 #include <string>
@@ -29,12 +28,6 @@ struct WorkerOptions {
     /// worker writes a torn partial frame and calls _exit(2).  -1 disables.
     /// Only meaningful for spawned workers.
     int crash_after_trials = -1;
-    /// Telemetry heartbeat period (ms of host wall time): the worker ships a
-    /// Telemetry frame at most this often while trials complete, plus one
-    /// final compact-snapshot frame per task.  0 = every trial completion
-    /// (tests), -1 disables telemetry entirely (the default keeps legacy
-    /// streams byte-for-byte unchanged).
-    int heartbeat_ms = -1;
 };
 
 /// Runs `task_ids` from `plan` and streams frames onto `stream`.  Returns

@@ -5,9 +5,9 @@
 //     u32 payload_len | u32 type | payload bytes
 //
 // The codec is transport-agnostic: encode_frame() produces bytes suitable for
-// any byte stream (pipe, UDS, TCP, in-memory conduit), and FrameDecoder is an
+// any byte stream (pipe, file, in-memory conduit), and FrameDecoder is an
 // incremental push parser — feed() arbitrary chunk boundaries, pop complete
-// frames with next().  A frame cut short by a dropped connection is simply
+// frames with next().  A frame cut short by a closed stream is simply
 // never surfaced, which is exactly the property the campaign result cache
 // relies on: partial results are discarded wholesale, never half-applied.
 #pragma once

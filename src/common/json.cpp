@@ -36,6 +36,10 @@ void append_escaped(std::string& out, std::string_view s) {
     }
 }
 
+/// Arrays and objects nest at most this deep; one more is an error, which
+/// bounds the parser's recursion on hostile input.
+constexpr int kMaxNesting = 64;
+
 struct Parser {
     const char* begin;
     const char* p;
@@ -51,6 +55,12 @@ struct Parser {
     bool fail(std::string message) {
         if (error.empty()) error = std::move(message);
         return false;
+    }
+    /// Consumes a run of decimal digits; false when there is none.
+    bool skip_digits() {
+        const char* from = p;
+        while (p < end && *p >= '0' && *p <= '9') ++p;
+        return p != from;
     }
 
     bool parse_string(std::string& out) {
@@ -112,8 +122,8 @@ struct Parser {
         return true;
     }
 
+    /// `depth` counts the enclosing arrays and objects.
     bool parse_value(Value& out, int depth) {
-        if (depth > 64) return fail("nesting too deep");
         skip_ws();
         if (p >= end) return fail("truncated value");
         switch (*p) {
@@ -121,6 +131,7 @@ struct Parser {
                 out.kind = Value::Kind::kString;
                 return parse_string(out.str);
             case '{': {
+                if (depth >= kMaxNesting) return fail("nesting too deep");
                 out.kind = Value::Kind::kObject;
                 ++p;
                 skip_ws();
@@ -151,6 +162,7 @@ struct Parser {
                 }
             }
             case '[': {
+                if (depth >= kMaxNesting) return fail("nesting too deep");
                 out.kind = Value::Kind::kArray;
                 ++p;
                 skip_ws();
@@ -197,17 +209,26 @@ struct Parser {
                 return true;
             }
             default: {
-                // Number: keep the raw token verbatim so re-serialization
+                // Number, JSON grammar only:
+                //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+                // The raw token is kept verbatim so re-serialization
                 // round-trips %.17g doubles and 64-bit integers bit-exactly.
                 const char* start = p;
-                if (p < end && (*p == '-' || *p == '+')) ++p;
-                bool any = false;
-                while (p < end && ((*p >= '0' && *p <= '9') || *p == '.' || *p == 'e' ||
-                                   *p == 'E' || *p == '-' || *p == '+')) {
+                if (*p == '-') ++p;
+                if (p < end && *p == '0') {
                     ++p;
-                    any = true;
+                } else if (!skip_digits()) {
+                    return fail(p == start ? "unexpected character" : "bad number");
                 }
-                if (!any) return fail("unexpected character");
+                if (p < end && *p == '.') {
+                    ++p;
+                    if (!skip_digits()) return fail("bad number");
+                }
+                if (p < end && (*p == 'e' || *p == 'E')) {
+                    ++p;
+                    if (p < end && (*p == '+' || *p == '-')) ++p;
+                    if (!skip_digits()) return fail("bad number");
+                }
                 out.kind = Value::Kind::kNumber;
                 out.raw.assign(start, p);
                 return true;

@@ -9,6 +9,10 @@
 //  * Object members preserve insertion order, so dump() of a value we wrote
 //    reproduces our writers' field order byte for byte.
 //
+// The reader is strict where it matters for hostile input: numbers must
+// match the JSON number grammar (no "+1", "--" or "1.2.3"), and arrays and
+// objects nest at most 64 deep.
+//
 // No third-party dependency: the container only ships the toolchain, and the
 // grammar we emit is tiny (no comments, no trailing commas needed).
 #pragma once

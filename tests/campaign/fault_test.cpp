@@ -1,10 +1,12 @@
-// Fault injection: a spawned worker killed mid-shard and a TCP connection
-// dropped mid-frame.  Both must cost only a re-issue round — the merged
-// records, metrics and artifacts stay bit-identical to a no-fault run.
+// Fault injection: a spawned worker killed mid-shard and a pipe closed
+// mid-frame.  Both must cost only a re-issue round — the merged records,
+// metrics and artifacts stay bit-identical to a no-fault run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <thread>
+
+#include <unistd.h>
 
 #include "campaign/leader.hpp"
 #include "campaign/wire.hpp"
@@ -31,7 +33,7 @@ CampaignPlan fault_plan() {
     channels.metrics = true;
     channels.traces = true;
     channels.trace_all = true;
-    return plan_campaign("fault", std::move(series), 3);  // 3 tasks x 2 trials
+    return plan_campaign("fault", std::move(series), 3, channels);  // 3 tasks x 2 trials
 }
 
 /// Collects a worker's wire bytes without any transport.
@@ -64,55 +66,52 @@ std::size_t offset_after(const std::string& bytes,
     return bytes.size();
 }
 
-/// Round-0 endpoint that replays `bytes` over a real TCP connection and then
-/// drops it cold — no shutdown handshake, just a closed socket mid-frame.
-class TcpDropEndpoint final : public Endpoint {
+/// Round-0 endpoint that writes `bytes` into a real pipe through FdStream
+/// and then closes it — the leader reads a stream that ends mid-frame.
+class PipeDropEndpoint final : public Endpoint {
 public:
-    explicit TcpDropEndpoint(std::string bytes) : bytes_(std::move(bytes)) {}
+    explicit PipeDropEndpoint(std::string bytes) : bytes_(std::move(bytes)) {}
 
-    ~TcpDropEndpoint() override {
+    ~PipeDropEndpoint() override {
         if (writer_.joinable()) writer_.join();
-        if (listen_fd_ >= 0) ::close(listen_fd_);
     }
 
     ByteStream* start(const CampaignPlan&, std::vector<int>, std::string* error) override {
-        int port = 0;
-        listen_fd_ = listen_tcp_loopback(&port, error);
-        if (listen_fd_ < 0) return nullptr;
-        writer_ = std::thread([this, port] {
-            std::string connect_error;
-            const int fd = connect_tcp_loopback(port, &connect_error);
-            if (fd < 0) return;
-            {
-                FdStream out(fd);  // destructor close()s with bytes in flight
-                out.write(bytes_);
-            }
+        int fds[2];
+        if (::pipe(fds) != 0) {
+            if (error != nullptr) *error = "pipe() failed";
+            return nullptr;
+        }
+        leader_ = std::make_unique<FdStream>(fds[0]);
+        // The torn stream may outgrow the pipe buffer, so a writer thread
+        // feeds it while the leader drains the read end.
+        writer_ = std::thread([this, fd = fds[1]] {
+            FdStream out(fd);
+            out.write(bytes_);
+            out.close_write();
         });
-        const int conn = accept_connection(listen_fd_, 10000, error);
-        if (conn < 0) return nullptr;
-        leader_ = std::make_unique<FdStream>(conn);
         return leader_.get();
     }
 
     bool finish(std::string* error) override {
         if (writer_.joinable()) writer_.join();
-        if (error != nullptr) *error = "connection dropped";
+        if (error != nullptr) *error = "pipe dropped";
         return false;
     }
 
-    std::string describe() const override { return "tcp-drop worker"; }
+    std::string describe() const override { return "pipe-drop worker"; }
 
 private:
     std::string bytes_;
-    int listen_fd_ = -1;
     std::unique_ptr<ByteStream> leader_;
     std::thread writer_;
 };
 
-TEST(CampaignFault, TcpConnectionDroppedMidFrameReissuesAndStaysBitIdentical) {
+TEST(CampaignFault, PipeDroppedMidFrameReissuesAndStaysBitIdentical) {
     const CampaignPlan plan = fault_plan();
     CaptureSink reference(edge_channels(plan));
     run_reference(plan, reference);
+    ASSERT_FALSE(reference.sorted_artifacts().empty());  // traces ride the wire too
 
     // Record what a healthy worker running ALL tasks would send, then cut the
     // stream 5 bytes into the first frame after task 0's TaskDone: task 0
@@ -135,7 +134,7 @@ TEST(CampaignFault, TcpConnectionDroppedMidFrameReissuesAndStaysBitIdentical) {
     const CampaignOutcome outcome = run_campaign(
         plan,
         [&torn](int worker, int round) -> std::unique_ptr<Endpoint> {
-            if (round == 0) return std::make_unique<TcpDropEndpoint>(torn);
+            if (round == 0) return std::make_unique<PipeDropEndpoint>(torn);
             WorkerOptions wo;
             wo.worker_id = worker;
             return make_inprocess_endpoint(wo);
@@ -157,22 +156,16 @@ TEST(CampaignFault, SpawnedWorkerKilledMidShardReissuesAndStaysBitIdentical) {
     const CampaignPlan plan = fault_plan();
     CaptureSink reference(edge_channels(plan));
     run_reference(plan, reference);
+    ASSERT_FALSE(reference.sorted_artifacts().empty());  // traces ride the wire too
 
     const std::string plan_path = ::testing::TempDir() + "/fault_plan.json";
     ASSERT_TRUE(ble::obs::write_text_file(plan_path, plan_to_json(plan)));
-
-    // External telemetry sink: the kill must surface as a lost lifecycle
-    // span plus a re-issue, without disturbing the merged output.
-    ble::obs::TelemetrySinkParams telemetry_params;
-    telemetry_params.campaign = plan.name;
-    ble::obs::CampaignTelemetrySink telemetry(telemetry_params);
 
     CaptureSink merged(edge_channels(plan));
     LeaderOptions options;
     options.workers = 2;
     options.max_rounds = 3;
     options.read_timeout_ms = 30000;
-    options.telemetry = &telemetry;
     const CampaignOutcome outcome = run_campaign(
         plan,
         [&](int worker, int round) {
@@ -180,7 +173,6 @@ TEST(CampaignFault, SpawnedWorkerKilledMidShardReissuesAndStaysBitIdentical) {
             so.binary = binary;
             so.plan_path = plan_path;
             so.worker.worker_id = worker;
-            so.worker.heartbeat_ms = 0;  // heartbeat every trial completion
             // Worker 0's first incarnation dies after one trial, leaving a
             // torn frame on its pipe; every later incarnation is healthy.
             if (worker == 0 && round == 0) so.worker.crash_after_trials = 1;
@@ -194,19 +186,6 @@ TEST(CampaignFault, SpawnedWorkerKilledMidShardReissuesAndStaysBitIdentical) {
 
     EXPECT_EQ(merged.records(), reference.records());
     EXPECT_EQ(merged.sorted_artifacts(), reference.sorted_artifacts());
-
-    // The killed worker's shards went through lost → reissued → done.
-    EXPECT_GE(telemetry.counter("telemetry.shards.lost"), 1u);
-    EXPECT_GE(telemetry.counter("telemetry.shards.reissued"), 1u);
-    EXPECT_GE(telemetry.counter("telemetry.streams.torn") +
-                  telemetry.counter("telemetry.streams.failed"),
-              1u);
-    bool saw_reissue = false;
-    for (const auto& shard : telemetry.shards()) {
-        EXPECT_EQ(shard.state, ble::obs::ShardState::kDone);
-        if (shard.attempts > 1) saw_reissue = true;
-    }
-    EXPECT_TRUE(saw_reissue);
 }
 
 }  // namespace

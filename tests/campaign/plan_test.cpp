@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
+#include "common/rng.hpp"
+
 namespace injectable::campaign {
 namespace {
 
@@ -90,6 +93,52 @@ TEST(CampaignPlan, RejectsCorruptPlans) {
     text.replace(pos, 9, "\"count\":9");
     EXPECT_FALSE(plan_from_json(text, loaded, &error));
     EXPECT_NE(error.find("out of range"), std::string::npos);
+}
+
+// Seeded fuzz of the plan reader every spawned worker runs: each mutation of
+// a real plan document is rejected, or loads into a plan whose serialization
+// is a fixed point of plan_from_json followed by plan_to_json.  The JSON
+// layer underneath holds the same property for dump().
+TEST(JsonFuzz, MutatedPlansAreRejectedOrReserializeToAFixedPoint) {
+    CampaignPlan plan = plan_campaign("fuzz", two_series(5, 3), 3);
+    plan.channels.metrics = true;
+    const std::string text = plan_to_json(plan);
+    int loaded_plans = 0;
+    for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+        ble::Rng rng(seed);
+        std::string mutated = text;
+        const int edits = 1 + static_cast<int>(rng.next_below(3));
+        for (int e = 0; e < edits; ++e) {
+            const std::size_t at = rng.next_below(mutated.size());
+            switch (rng.next_below(3)) {
+                case 0: mutated[at] = static_cast<char>(rng.next_below(256)); break;
+                case 1: mutated.erase(at, 1); break;
+                default: mutated.insert(at, 1, mutated[rng.next_below(mutated.size())]); break;
+            }
+        }
+
+        const ble::json::ParseResult parsed = ble::json::parse(mutated);
+        if (parsed.ok) {
+            const std::string dumped = parsed.value.dump();
+            const ble::json::ParseResult again = ble::json::parse(dumped);
+            ASSERT_TRUE(again.ok) << "seed " << seed << ": " << again.error;
+            EXPECT_EQ(again.value.dump(), dumped) << "seed " << seed;
+        }
+
+        CampaignPlan loaded;
+        std::string error;
+        if (!plan_from_json(mutated, loaded, &error)) {
+            EXPECT_FALSE(error.empty()) << "seed " << seed;
+            continue;
+        }
+        ++loaded_plans;
+        const std::string once = plan_to_json(loaded);
+        CampaignPlan reloaded;
+        ASSERT_TRUE(plan_from_json(once, reloaded, &error)) << "seed " << seed << ": " << error;
+        EXPECT_EQ(plan_to_json(reloaded), once) << "seed " << seed;
+    }
+    // Most single-byte edits land in names and values the reader accepts.
+    EXPECT_GT(loaded_plans, 0);
 }
 
 }  // namespace

@@ -112,34 +112,14 @@ TEST(CampaignWire, ControlMessagesRoundTrip) {
     EXPECT_EQ(error_msg.message, "boom \"quoted\"");
 }
 
-TEST(CampaignWire, TelemetryRoundTripsCountersAndHistograms) {
-    ble::obs::WorkerTelemetry hb;
-    hb.worker = 3;
-    hb.task = 7;
-    hb.t_ms = 123456;
-    hb.trials_done = 5;
-    hb.trials_total = 12;
-    hb.tx_frames = 40;
-    hb.tx_bytes = 9001;
-    hb.final_snapshot = true;
-    hb.counters["events_total"] = 77;
-    hb.counters["inject.success \"quoted\""] = 3;
-    hb.hists["attempts"] = {4, 10};
-    const WireMessage message = decode_one(encode_telemetry(hb));
-    EXPECT_EQ(message.type, WireType::kTelemetry);
-    EXPECT_EQ(message.telemetry, hb);
-
-    // An empty heartbeat (no snapshot) survives too.
-    ble::obs::WorkerTelemetry beat;
-    beat.worker = 1;
-    beat.t_ms = 42;
-    EXPECT_EQ(decode_one(encode_telemetry(beat)).telemetry, beat);
-}
-
 TEST(CampaignWire, DecoderRejectsUnknownTypesAndGarbage) {
     WireMessage message;
     std::string error;
     EXPECT_FALSE(decode_wire_message(ble::common::Frame{999, "{}"}, message, &error));
+    // 10 is a retired frame type: unknown like any other.
+    EXPECT_FALSE(decode_wire_message(
+        ble::common::Frame{10, "{\"worker\":2,\"task\":5,\"t_ms\":99}"}, message, &error));
+    EXPECT_NE(error.find("unknown frame type 10"), std::string::npos) << error;
     EXPECT_FALSE(decode_wire_message(
         ble::common::Frame{static_cast<std::uint32_t>(WireType::kTaskResults), "not json"},
         message, &error));
@@ -172,14 +152,6 @@ std::vector<std::string> fuzz_corpus() {
     artifact.success = true;
     for (int b = 0; b < 256; ++b) artifact.content.push_back(static_cast<char>(b));
 
-    ble::obs::WorkerTelemetry telemetry;
-    telemetry.worker = 2;
-    telemetry.task = 5;
-    telemetry.t_ms = 99;
-    telemetry.final_snapshot = true;
-    telemetry.counters["sim.tx"] = 400;
-    telemetry.hists["attempts"] = {3, 12};
-
     return {encode_hello(1),
             encode_task_start(5),
             encode_task_results(5, {sample_result(4), sample_result(9), sample_result(12)}),
@@ -188,8 +160,7 @@ std::vector<std::string> fuzz_corpus() {
             encode_progress(5, 2, 6),
             encode_task_done(5),
             encode_worker_done(1),
-            encode_error(1, "torn \"frame\"\n\x01"),
-            encode_telemetry(telemetry)};
+            encode_error(1, "torn \"frame\"\n\x01")};
 }
 
 /// The encoder call that produces `message`'s frame.
@@ -204,7 +175,6 @@ std::string reencode(const WireMessage& m) {
         case WireType::kTaskDone: return encode_task_done(m.task);
         case WireType::kWorkerDone: return encode_worker_done(m.worker);
         case WireType::kError: return encode_error(m.worker, m.message);
-        case WireType::kTelemetry: return encode_telemetry(m.telemetry);
     }
     return {};
 }

@@ -264,8 +264,8 @@ TEST(FixtureGood, D2SimTime) {
 }
 
 TEST(FixtureGood, D2TelemetryClockCallersStayClean) {
-    // Campaign code stamps telemetry via ble::telemetry_now_ms() and passes
-    // explicit now_ms values down — no clock primitive in sight.
+    // Callers of a clock helper that pass explicit now_ms values down are
+    // clean — no clock primitive in sight.
     const auto findings = scan_fixture("good_d2_telemetry_clock.cpp");
     EXPECT_TRUE(findings.empty());
 }

@@ -1,4 +1,4 @@
-// Unit tests for the link-layer capture subsystem (DESIGN.md §14): channel
+// Unit tests for the link-layer capture subsystem (DESIGN.md §13): channel
 // mapping, dBm quantization, pseudo-header layout, PCAP/btsnoop round-trips,
 // the vantage state machine, and the offline JSONL renderer.
 #include <gtest/gtest.h>

@@ -1,4 +1,4 @@
-// End-to-end capture acceptance (ISSUE 10 / DESIGN.md §14): a Fig. 8 hijack
+// End-to-end capture acceptance (DESIGN.md §13): a Fig. 8 hijack
 // trial produces PCAP artifacts that are byte-identical across reruns and
 // worker counts, re-render identically from the recorded JSONL trace, and
 // show the attacker's injected PDU exactly where a real sniffer would see it

@@ -3,38 +3,39 @@
 //   campaign_ctl plan   --out FILE [--name S] [--runs N] [--shards N]
 //                       [--metrics] [--traces] [--trace-all] [--timelines]
 //                       [--captures] [--progress]
-//   campaign_ctl run    --plan FILE [--transport inprocess|uds|tcp|spawn|local]
+//   campaign_ctl run    --plan FILE [--transport inprocess|spawn|local]
 //                       [--workers N] [--rounds N] [--timeout-ms N]
 //                       [--json FILE] [--trace-dir DIR] [--trace-all] [--gzip]
 //                       [--chrome-dir DIR] [--pcap-dir DIR] [--metrics-print]
-//                       [--progress] [--status FILE] [--uds-dir DIR] [--self BIN]
-//                       [--chaos-kill-first N] [--telemetry FILE]
-//                       [--straggler-factor X] [--heartbeat-ms N]
+//                       [--progress] [--status FILE] [--self BIN]
+//                       [--chaos-kill-first N]
 //   campaign_ctl worker --plan FILE --tasks ID[,ID...] [--worker N] [--jobs N]
-//                       [--crash-after-trials N] [--heartbeat-ms N] [--out FILE|-]
+//                       [--crash-after-trials N] [--out FILE|-]
 //   campaign_ctl merge  --plan FILE [sink flags as for run] FRAMES...
-//   campaign_ctl status FILE [--watch] [--interval-ms N]
+//   campaign_ctl status FILE
 //
 // `run --transport local` is the single-process reference: the same plan
 // executed inline through the same edge sink, producing the bytes every
 // sharded transport must reproduce exactly.  `--chaos-kill-first N` (spawn
 // only) makes worker 0 of round 0 die after N trials with a torn frame —
-// the leader must re-issue and converge on identical output.
+// the leader must re-issue and converge on identical output.  `--status
+// FILE` rewrites a JSON status document after every round; `status FILE`
+// prints it (its final `round` is the number of issue rounds the run took).
 //
-// `--telemetry FILE` turns on the campaign telemetry layer (DESIGN.md §12):
-// workers heartbeat over the wire, the leader logs shard lifecycle spans,
-// transport counters and watchdog flags to FILE as JSONL, and the status
-// document gains live per-worker fields.  `status --watch` renders that
-// document as a terminal dashboard, refreshing until the campaign finishes.
+// Integer flags take a whole decimal token within the flag's range:
+// --workers, --rounds, --timeout-ms, --runs and --shards at least 1; --jobs
+// and --worker at least 0; --crash-after-trials and --chaos-kill-first at
+// least -1 (-1 disables).
 //
 // exits 0 on success, 1 on campaign/worker failure, 2 on usage/IO errors.
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <charconv>
 #include <csignal>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include <unistd.h>
@@ -58,13 +59,13 @@ void print_usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s <plan|run|worker|merge|status> [options]\n"
                  "  plan   --out FILE [--name S] [--runs N] [--shards N] [channel flags]\n"
-                 "  run    --plan FILE [--transport inprocess|uds|tcp|spawn|local]\n"
+                 "  run    --plan FILE [--transport inprocess|spawn|local]\n"
                  "         [--workers N] [--rounds N] [--timeout-ms N] [sink flags]\n"
                  "         [--status FILE] [--chaos-kill-first N]\n"
                  "  worker --plan FILE --tasks ID[,ID...] [--worker N] [--jobs N]\n"
-                 "         [--crash-after-trials N] [--heartbeat-ms N] [--out FILE|-]\n"
+                 "         [--crash-after-trials N] [--out FILE|-]\n"
                  "  merge  --plan FILE [sink flags] FRAMES...\n"
-                 "  status FILE [--watch] [--interval-ms N]\n",
+                 "  status FILE\n",
                  argv0);
 }
 
@@ -91,21 +92,30 @@ bool load_plan(const std::string& path, CampaignPlan& plan) {
     return true;
 }
 
+/// Parses all of `text` as a decimal int no smaller than `min_value`; false
+/// on an empty token, a non-digit, trailing characters or an out-of-range
+/// value.
+bool parse_int(std::string_view text, int min_value, int& out) {
+    int value = 0;
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (ec != std::errc() || end != last || value < min_value) return false;
+    out = value;
+    return true;
+}
+
 std::vector<int> parse_task_csv(const std::string& csv, bool& ok) {
     std::vector<int> ids;
     ok = !csv.empty();
     std::size_t start = 0;
     while (ok && start <= csv.size()) {
         const std::size_t comma = csv.find(',', start);
-        const std::string token =
-            csv.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-        char* end = nullptr;
-        const long value = std::strtol(token.c_str(), &end, 10);
-        if (end == token.c_str() || *end != '\0' || value < 0) {
-            ok = false;
-            break;
-        }
-        ids.push_back(static_cast<int>(value));
+        const std::string_view token = std::string_view(csv).substr(
+            start, comma == std::string::npos ? std::string::npos : comma - start);
+        int value = 0;
+        ok = parse_int(token, 0, value);
+        if (!ok) break;
+        ids.push_back(value);
         if (comma == std::string::npos) break;
         start = comma + 1;
     }
@@ -132,18 +142,12 @@ struct Options {
     int timeout_ms = 120000;
     world::SinkPaths sink;
     std::string status_path;
-    std::string uds_dir = "/tmp";
     std::string self_path;
     int chaos_kill_first = -1;
     std::string tasks_csv;
     int worker_id = 0;
     int jobs = 0;
     int crash_after_trials = -1;
-    std::string telemetry_path;
-    double straggler_factor = 4.0;
-    int heartbeat_ms = -1;
-    bool watch = false;
-    int interval_ms = 1000;
     bool plan_metrics = false;
     bool plan_traces = false;
     bool plan_trace_all = false;
@@ -164,21 +168,25 @@ bool parse_options(int argc, char** argv, int first, Options& options) {
             slot = argv[++i];
             return true;
         };
-        auto int_of = [&](int& slot) {
+        auto int_of = [&](int& slot, int min_value) {
             std::string text;
             if (!value_of(text)) return false;
-            slot = std::atoi(text.c_str());
+            if (!parse_int(text, min_value, slot)) {
+                std::fprintf(stderr, "campaign_ctl: %s needs an integer >= %d, got '%s'\n",
+                             arg.c_str(), min_value, text.c_str());
+                return false;
+            }
             return true;
         };
         if (arg == "--out") { if (!value_of(options.out_path)) return false; }
         else if (arg == "--plan") { if (!value_of(options.plan_path)) return false; }
         else if (arg == "--name") { if (!value_of(options.name)) return false; }
-        else if (arg == "--runs") { if (!int_of(options.runs)) return false; }
-        else if (arg == "--shards") { if (!int_of(options.shards)) return false; }
+        else if (arg == "--runs") { if (!int_of(options.runs, 1)) return false; }
+        else if (arg == "--shards") { if (!int_of(options.shards, 1)) return false; }
         else if (arg == "--transport") { if (!value_of(options.transport)) return false; }
-        else if (arg == "--workers") { if (!int_of(options.workers)) return false; }
-        else if (arg == "--rounds") { if (!int_of(options.rounds)) return false; }
-        else if (arg == "--timeout-ms") { if (!int_of(options.timeout_ms)) return false; }
+        else if (arg == "--workers") { if (!int_of(options.workers, 1)) return false; }
+        else if (arg == "--rounds") { if (!int_of(options.rounds, 1)) return false; }
+        else if (arg == "--timeout-ms") { if (!int_of(options.timeout_ms, 1)) return false; }
         else if (arg == "--json") { if (!value_of(options.sink.json_path)) return false; }
         else if (arg == "--trace-dir") { if (!value_of(options.sink.trace_dir)) return false; }
         else if (arg == "--trace-all") { options.sink.trace_all = true; options.plan_trace_all = true; }
@@ -192,22 +200,12 @@ bool parse_options(int argc, char** argv, int first, Options& options) {
         else if (arg == "--timelines") { options.plan_timelines = true; }
         else if (arg == "--captures") { options.plan_captures = true; }
         else if (arg == "--status") { if (!value_of(options.status_path)) return false; }
-        else if (arg == "--uds-dir") { if (!value_of(options.uds_dir)) return false; }
         else if (arg == "--self") { if (!value_of(options.self_path)) return false; }
-        else if (arg == "--chaos-kill-first") { if (!int_of(options.chaos_kill_first)) return false; }
+        else if (arg == "--chaos-kill-first") { if (!int_of(options.chaos_kill_first, -1)) return false; }
         else if (arg == "--tasks") { if (!value_of(options.tasks_csv)) return false; }
-        else if (arg == "--worker") { if (!int_of(options.worker_id)) return false; }
-        else if (arg == "--jobs") { if (!int_of(options.jobs)) return false; }
-        else if (arg == "--crash-after-trials") { if (!int_of(options.crash_after_trials)) return false; }
-        else if (arg == "--telemetry") { if (!value_of(options.telemetry_path)) return false; }
-        else if (arg == "--straggler-factor") {
-            std::string text;
-            if (!value_of(text)) return false;
-            options.straggler_factor = std::atof(text.c_str());
-        }
-        else if (arg == "--heartbeat-ms") { if (!int_of(options.heartbeat_ms)) return false; }
-        else if (arg == "--watch") { options.watch = true; }
-        else if (arg == "--interval-ms") { if (!int_of(options.interval_ms)) return false; }
+        else if (arg == "--worker") { if (!int_of(options.worker_id, 0)) return false; }
+        else if (arg == "--jobs") { if (!int_of(options.jobs, 0)) return false; }
+        else if (arg == "--crash-after-trials") { if (!int_of(options.crash_after_trials, -1)) return false; }
         else if (arg == "--help" || arg == "-h") { print_usage("campaign_ctl"); return false; }
         else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "campaign_ctl: unknown option '%s'\n", arg.c_str());
@@ -270,27 +268,12 @@ int cmd_run(const Options& options, const char* argv0) {
 
     const std::string self =
         options.self_path.empty() ? self_binary(argv0) : options.self_path;
-    // Telemetry implies worker heartbeats: default the period when the user
-    // asked for a telemetry log but gave no explicit --heartbeat-ms.
-    int heartbeat_ms = options.heartbeat_ms;
-    if (!options.telemetry_path.empty() && heartbeat_ms < 0) heartbeat_ms = 500;
     EndpointFactory factory;
     if (options.transport == "inprocess") {
-        factory = [heartbeat_ms](int worker, int) {
+        factory = [](int worker, int) {
             WorkerOptions wo;
             wo.worker_id = worker;
-            wo.heartbeat_ms = heartbeat_ms;
             return make_inprocess_endpoint(wo);
-        };
-    } else if (options.transport == "uds" || options.transport == "tcp") {
-        const SocketKind kind =
-            options.transport == "uds" ? SocketKind::kUds : SocketKind::kTcp;
-        const std::string uds_dir = options.uds_dir;
-        factory = [kind, uds_dir, heartbeat_ms](int worker, int) {
-            WorkerOptions wo;
-            wo.worker_id = worker;
-            wo.heartbeat_ms = heartbeat_ms;
-            return make_socket_endpoint(kind, uds_dir, wo);
         };
     } else if (options.transport == "spawn") {
         // A spawned worker re-reads the plan from disk, so the channel
@@ -303,12 +286,11 @@ int cmd_run(const Options& options, const char* argv0) {
             return 2;
         }
         const int chaos = options.chaos_kill_first;
-        factory = [self, plan_path, chaos, heartbeat_ms](int worker, int round) {
+        factory = [self, plan_path, chaos](int worker, int round) {
             SpawnOptions so;
             so.binary = self;
             so.plan_path = plan_path;
             so.worker.worker_id = worker;
-            so.worker.heartbeat_ms = heartbeat_ms;
             if (worker == 0 && round == 0) so.worker.crash_after_trials = chaos;
             return make_spawn_endpoint(std::move(so));
         };
@@ -323,25 +305,15 @@ int cmd_run(const Options& options, const char* argv0) {
     leader.max_rounds = options.rounds;
     leader.read_timeout_ms = options.timeout_ms;
     leader.status_path = options.status_path;
-    leader.telemetry_path = options.telemetry_path;
-    leader.straggler_factor = options.straggler_factor;
-    // Live status (the --watch dashboard's feed) + the straggler watchdog
-    // only make sense with a telemetry sink behind them.
-    if (!options.telemetry_path.empty()) leader.status_refresh_ms = 500;
     const CampaignOutcome outcome = run_campaign(plan, factory, leader, sink);
     if (!outcome.ok) {
         std::fprintf(stderr, "campaign_ctl: FAILED: %s\n", outcome.error.c_str());
         return 1;
     }
     std::fprintf(stderr,
-                 "campaign_ctl: campaign complete (%d round%s, %d re-issued task%s",
+                 "campaign_ctl: campaign complete (%d round%s, %d re-issued task%s)\n",
                  outcome.rounds, outcome.rounds == 1 ? "" : "s", outcome.reissued_tasks,
                  outcome.reissued_tasks == 1 ? "" : "s");
-    if (!options.telemetry_path.empty()) {
-        std::fprintf(stderr, ", %d straggler%s", outcome.stragglers,
-                     outcome.stragglers == 1 ? "" : "s");
-    }
-    std::fprintf(stderr, ")\n");
     return 0;
 }
 
@@ -376,7 +348,6 @@ int cmd_worker(const Options& options) {
     wo.worker_id = options.worker_id;
     wo.jobs = options.jobs;
     wo.crash_after_trials = options.crash_after_trials;
-    wo.heartbeat_ms = options.heartbeat_ms;
     std::string error;
     if (!run_worker_tasks(plan, task_ids, stream, wo, &error)) {
         std::fprintf(stderr, "campaign_ctl worker: %s\n", error.c_str());
@@ -433,65 +404,13 @@ int cmd_merge(const Options& options) {
     return 0;
 }
 
-/// Renders one status document.  The base fields always print; the live
-/// telemetry fields (trials, shard states, per-worker rows, stragglers, ETA)
-/// print when the leader ran with --telemetry.
+/// Renders one status document.
 void render_status(const ble::json::Value& doc) {
-    const std::int64_t done = doc.i64("tasks_done");
-    const std::int64_t total = doc.i64("tasks_total");
     std::printf("campaign:     %s\n", doc.string_at("campaign").c_str());
     std::printf("round:        %lld\n", static_cast<long long>(doc.i64("round")));
-    std::printf("tasks:        %lld/%lld done\n", static_cast<long long>(done),
-                static_cast<long long>(total));
+    std::printf("tasks:        %lld/%lld done\n", static_cast<long long>(doc.i64("tasks_done")),
+                static_cast<long long>(doc.i64("tasks_total")));
     std::printf("trials total: %lld\n", static_cast<long long>(doc.i64("trials_total")));
-    if (const ble::json::Value* trials_done = doc.find("trials_done"); trials_done != nullptr) {
-        std::printf("trials done:  %lld\n", static_cast<long long>(trials_done->as_i64()));
-    }
-    if (const ble::json::Value* shards = doc.find("shards");
-        shards != nullptr && shards->is_object()) {
-        std::printf("shards:       %lld running, %lld done, %lld lost, %lld re-issued\n",
-                    static_cast<long long>(shards->i64("running")),
-                    static_cast<long long>(shards->i64("done")),
-                    static_cast<long long>(shards->i64("lost")),
-                    static_cast<long long>(shards->i64("reissued")));
-    }
-    if (const ble::json::Value* eta = doc.find("eta_ms"); eta != nullptr) {
-        const std::int64_t eta_ms = eta->as_i64();
-        if (eta_ms >= 0) {
-            std::printf("eta:          %.1f s\n", static_cast<double>(eta_ms) / 1000.0);
-        }
-        std::printf("elapsed:      %.1f s\n",
-                    static_cast<double>(doc.i64("elapsed_ms")) / 1000.0);
-    }
-    if (const ble::json::Value* workers = doc.find("workers");
-        workers != nullptr && workers->is_array() && !workers->array.empty()) {
-        std::printf("workers:\n");
-        std::printf("  id  task  trials  done/total  trials/s  hb age\n");
-        for (const ble::json::Value& w : workers->array) {
-            const std::int64_t hb_age = w.i64("hb_age_ms", -1);
-            char hb[32];
-            if (hb_age < 0) {
-                std::snprintf(hb, sizeof hb, "-");
-            } else {
-                std::snprintf(hb, sizeof hb, "%.1fs", static_cast<double>(hb_age) / 1000.0);
-            }
-            std::printf("  %-3lld %-5lld %-7lld %lld/%-9lld %-9.1f %s\n",
-                        static_cast<long long>(w.i64("worker")),
-                        static_cast<long long>(w.i64("task")),
-                        static_cast<long long>(w.i64("trials")),
-                        static_cast<long long>(w.i64("trials_done")),
-                        static_cast<long long>(w.i64("trials_total")),
-                        w.number("tps"), hb);
-        }
-    }
-    if (const ble::json::Value* stragglers = doc.find("stragglers");
-        stragglers != nullptr && stragglers->is_array() && !stragglers->array.empty()) {
-        std::printf("STRAGGLERS:  ");
-        for (const ble::json::Value& id : stragglers->array) {
-            std::printf(" task %lld", static_cast<long long>(id.as_i64()));
-        }
-        std::printf("\n");
-    }
     if (const ble::json::Value* pending = doc.find("pending");
         pending != nullptr && pending->is_array() && !pending->array.empty()) {
         std::printf("pending:     ");
@@ -508,41 +427,18 @@ int cmd_status(const Options& options) {
         return 2;
     }
     const std::string& path = options.positional[0];
-    for (;;) {
-        std::string text;
-        const bool readable = read_file(path, text);
-        if (!readable && !options.watch) {
-            std::fprintf(stderr, "campaign_ctl status: cannot read %s\n", path.c_str());
-            return 2;
-        }
-        ble::json::ParseResult parsed;
-        if (readable) parsed = ble::json::parse(text);
-        if (!options.watch) {
-            if (!parsed.ok || !parsed.value.is_object()) {
-                std::fprintf(stderr, "campaign_ctl status: unparsable status document\n");
-                return 1;
-            }
-            render_status(parsed.value);
-            return 0;
-        }
-        // --watch: clear, redraw, poll until every task committed.  A
-        // missing or torn file (the leader rewrites it in place) just means
-        // "try again next tick".
-        std::printf("\x1b[H\x1b[2J");
-        if (parsed.ok && parsed.value.is_object()) {
-            render_status(parsed.value);
-            const std::int64_t done = parsed.value.i64("tasks_done");
-            const std::int64_t total = parsed.value.i64("tasks_total");
-            if (total > 0 && done >= total) {
-                std::printf("\ncampaign complete\n");
-                return 0;
-            }
-        } else {
-            std::printf("campaign_ctl status: waiting for %s ...\n", path.c_str());
-        }
-        std::fflush(stdout);
-        ::usleep(static_cast<useconds_t>(std::max(50, options.interval_ms)) * 1000);
+    std::string text;
+    if (!read_file(path, text)) {
+        std::fprintf(stderr, "campaign_ctl status: cannot read %s\n", path.c_str());
+        return 2;
     }
+    const ble::json::ParseResult parsed = ble::json::parse(text);
+    if (!parsed.ok || !parsed.value.is_object()) {
+        std::fprintf(stderr, "campaign_ctl status: unparsable status document\n");
+        return 1;
+    }
+    render_status(parsed.value);
+    return 0;
 }
 
 }  // namespace

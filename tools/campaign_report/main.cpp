@@ -1,29 +1,22 @@
 // campaign_report CLI: fold a campaign's INJECTABLE_JSON records (plus,
 // optionally, its trace directory) into one self-contained report.
 //
-//   campaign_report [--traces DIR] [--telemetry FILE] [--md FILE]
-//                   [--html FILE] [--check] [--budgets FILE]
-//                   <results.jsonl[.gz]>...
+//   campaign_report [--traces DIR] [--md FILE] [--html FILE]
+//                   [--check [--budgets FILE]] <results.jsonl[.gz]>...
 //   campaign_report --diff <A.jsonl[.gz]> <B.jsonl[.gz]> [--md FILE]
 //
 //   --traces DIR     also check recorded-vs-expected event counts against
 //                    the per-trial traces under DIR (INJECTABLE_TRACE_DIR)
-//   --telemetry F    fold the leader's campaign telemetry JSONL
-//                    (campaign_ctl run --telemetry F) into the report:
-//                    per-worker attribution, shard lifecycle spans, a
-//                    shard-latency flamegraph — rendered in its own
-//                    wall-clock section; with --check, also gate on zero
-//                    watchdog stragglers and every shard ending `done`
 //   --md FILE        write the markdown report to FILE (default: stdout
 //                    when neither --md nor --html is given)
 //   --html FILE      write the self-contained HTML report to FILE
 //   --check          gate mode: exit 1 when the campaign is empty, any
 //                    input line is unparsable, or any complete trace set
 //                    disagrees with its series' events_total counter
-//   --budgets F      with --check: also gate the airtime share (summed
-//                    tx airtime over summed simulated trial time, read from
-//                    the --traces traces, which it requires) against the
-//                    budget file (bench/campaign_budgets.json)
+//   --budgets F      also gate the airtime share (summed tx airtime over
+//                    summed simulated trial time, read from the --traces
+//                    traces) against the budget file
+//                    (bench/campaign_budgets.json); needs --check and --traces
 //   --diff A B       differential mode: per-series outcome deltas (success
 //                    rate, attempt percentiles) between two campaigns
 //
@@ -41,13 +34,12 @@ namespace {
 
 void print_usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--traces DIR] [--telemetry FILE] [--md FILE] [--html FILE]\n"
-                 "       %*s [--check] [--budgets FILE] <results.jsonl[.gz]>...\n"
+                 "usage: %s [--traces DIR] [--md FILE] [--html FILE]\n"
+                 "       %*s [--check [--budgets FILE]] <results.jsonl[.gz]>...\n"
                  "       campaign_report --diff <A.jsonl> <B.jsonl> [--md FILE]\n"
                  "  Aggregates INJECTABLE_JSON campaign records into one report:\n"
-                 "  per-series tables, counters, log2 histograms, (with --traces)\n"
-                 "  event-count drift and the airtime budget (--budgets), and\n"
-                 "  (with --telemetry) the leader's wall-clock campaign telemetry.\n",
+                 "  per-series tables, counters, log2 histograms and (with --traces)\n"
+                 "  event-count drift; --check --budgets also gates the airtime share.\n",
                  argv0, static_cast<int>(std::strlen(argv0)), "");
 }
 
@@ -69,7 +61,6 @@ int main(int argc, char** argv) {
     bool check = false;
     bool diff = false;
     std::string budgets_path;
-    std::string telemetry_path;
     std::vector<std::string> json_paths;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
@@ -112,12 +103,6 @@ int main(int argc, char** argv) {
             budgets_path = v;
             continue;
         }
-        if (std::strcmp(arg, "--telemetry") == 0) {
-            const char* v = value_of("--telemetry");
-            if (v == nullptr) return 2;
-            telemetry_path = v;
-            continue;
-        }
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
             print_usage(argv[0]);
             return 0;
@@ -131,6 +116,10 @@ int main(int argc, char** argv) {
     }
     if (json_paths.empty()) {
         print_usage(argv[0]);
+        return 2;
+    }
+    if (!budgets_path.empty() && !check) {
+        std::fprintf(stderr, "%s: --budgets is a gate; pass --check with it\n", argv[0]);
         return 2;
     }
     if (!budgets_path.empty() && traces_dir.empty()) {
@@ -165,12 +154,9 @@ int main(int argc, char** argv) {
     const CampaignData campaign = load_campaign(json_paths);
     const std::vector<DriftRow> drift = compute_drift(campaign, traces_dir);
     const bool have_traces = !traces_dir.empty();
-    TelemetryData telemetry;
-    if (!telemetry_path.empty()) telemetry = load_telemetry(telemetry_path);
-    const TelemetryData* telemetry_ptr = telemetry_path.empty() ? nullptr : &telemetry;
 
     if (!md_path.empty() || html_path.empty()) {
-        const std::string md = render_markdown(campaign, drift, have_traces, telemetry_ptr);
+        const std::string md = render_markdown(campaign, drift, have_traces);
         if (md_path.empty()) {
             if (!check) std::fputs(md.c_str(), stdout);
         } else if (!write_file(md_path, md)) {
@@ -179,19 +165,13 @@ int main(int argc, char** argv) {
         }
     }
     if (!html_path.empty() &&
-        !write_file(html_path, render_html(campaign, drift, have_traces, telemetry_ptr))) {
+        !write_file(html_path, render_html(campaign, drift, have_traces))) {
         std::fprintf(stderr, "%s: cannot write %s\n", argv[0], html_path.c_str());
         return 2;
     }
 
     if (check) {
         CheckResult result = check_campaign(campaign, drift);
-        if (telemetry_ptr != nullptr) {
-            const CheckResult telemetry_result = check_telemetry(telemetry);
-            result.problems.insert(result.problems.end(), telemetry_result.problems.begin(),
-                                   telemetry_result.problems.end());
-            result.ok = result.problems.empty();
-        }
         if (!budgets_path.empty()) {
             std::vector<std::string> budget_errors;
             const std::optional<double> max_share =

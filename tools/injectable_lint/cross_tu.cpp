@@ -1,4 +1,4 @@
-// Phase 2 (DESIGN.md §13): whole-program rules over merged FileSummary
+// Phase 2 (DESIGN.md §12): whole-program rules over merged FileSummary
 // records — architecture layering (L1), cross-TU lock order (C2) and
 // wire-enum exhaustiveness (W1) — plus the deterministic include-graph DOT
 // and the audited-suppression inventory that CI uploads as artifacts.

@@ -1,5 +1,5 @@
 // injectable-lint: project-specific determinism & spec-invariant static
-// analysis (DESIGN.md §8, §13).
+// analysis (DESIGN.md §8, §12).
 //
 // The reproduction's core contract is bit-identical determinism for any
 // worker count: a trial is a pure function of (config, seed).  PR 3's
@@ -8,7 +8,7 @@
 // unordered_map.  This linter catches that whole bug class (and its
 // relatives) statically, before a single trial runs.
 //
-// Since PR 9 the analysis runs in two phases (DESIGN.md §13): phase 1 lexes
+// Since PR 9 the analysis runs in two phases (DESIGN.md §12): phase 1 lexes
 // every translation unit into a FileSummary (per-TU findings plus the raw
 // material the whole-program rules need: include directives, enum
 // definitions, switch shapes, lock-acquisition nesting, suppression
@@ -88,7 +88,7 @@
 //       ABBA deadlock shape — each contributing edge in the cycle is a
 //       finding at its acquisition site.
 //   W1  Wire/enum exhaustiveness: every enumerator of the monitored
-//       wire-protocol enums (WireType, ShardState, RxVerdict, CommandType,
+//       wire-protocol enums (WireType, RxVerdict, CommandType,
 //       NotificationType, CaptureFormat, VantageKind) must appear as a case
 //       in every switch over that
 //       enum — a `default:` does not excuse a missing enumerator, because
@@ -145,10 +145,9 @@ struct Finding {
 
 struct Options {
     /// Paths (substring match) where rule D2 never fires: the seeded rng
-    /// primitives themselves.  src/common/time.hpp is deliberately NOT
-    /// allowlisted: its telemetry_now_ns() helper is the telemetry path's one
-    /// wall-clock read and carries the audited allow(D2) suppression, so the
-    /// whole-tree suppression inventory lists it like any other clock read.
+    /// primitives themselves.  Every other clock read carries an audited
+    /// allow(D2) suppression, so the whole-tree suppression inventory lists
+    /// it.
     std::vector<std::string> d2_allowlist = {"src/common/rng."};
     /// Paths (substring match) where rule E1 never fires: the edge wiring
     /// that owns the INJECTABLE_* / BENCH_JOBS environment contract.
@@ -156,9 +155,8 @@ struct Options {
                                              "src/world/trial_runner.cpp"};
     /// Enums whose switches rule W1 holds to exhaustiveness (matched by the
     /// enum's simple name, i.e. the qualifier of the case labels).
-    std::vector<std::string> w1_enums = {"WireType",    "ShardState",       "RxVerdict",
-                                         "CommandType", "NotificationType", "CaptureFormat",
-                                         "VantageKind"};
+    std::vector<std::string> w1_enums = {"WireType",         "RxVerdict",     "CommandType",
+                                         "NotificationType", "CaptureFormat", "VantageKind"};
 };
 
 // --- tokenizer (exposed for the self-tests) ---

@@ -1,6 +1,6 @@
 // injectable_lint CLI: two-phase static analysis over source trees —
 // per-TU determinism & spec-invariant rules plus whole-program layering /
-// lock-order / wire-exhaustiveness rules (see lint.hpp, DESIGN.md §8 §13).
+// lock-order / wire-exhaustiveness rules (see lint.hpp, DESIGN.md §8 §12).
 //
 //   injectable_lint [--jsonl FILE] [--graph-dot FILE]
 //                   [--suppressions] [--quiet] <path>...

@@ -2,7 +2,7 @@
 //
 // Every JSONL trace written by run_series (INJECTABLE_TRACE_DIR) carries the
 // full TxStart/RxDecision stream, which is everything the capture subsystem
-// (src/obs/capture, DESIGN.md §14) consumes — so captures never have to be
+// (src/obs/capture, DESIGN.md §13) consumes — so captures never have to be
 // decided at record time.  This tool re-renders them offline, bit-identical
 // to what a live CaptureSink at the same vantage would have written:
 //
