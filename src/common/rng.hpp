@@ -32,10 +32,23 @@ public:
     }
 
     /// Uniform in [0, bound) without modulo bias (rejection sampling).
-    std::uint64_t next_below(std::uint64_t bound) noexcept;
+    /// Inline, so a caller drawing from a local copy keeps it in registers.
+    std::uint64_t next_below(std::uint64_t bound) noexcept {
+        if (bound == 0) return 0;
+        // Rejection sampling over the largest multiple of `bound`.
+        const std::uint64_t limit = bound * (~0ULL / bound);
+        std::uint64_t v = next_u64();
+        while (v >= limit) v = next_u64();
+        return v % bound;
+    }
 
     /// Uniform double in [0, 1): 53 high-quality bits.
-    double next_double() noexcept { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
+    double next_double() noexcept { return to_unit(next_u64()); }
+
+    /// The double next_double() makes of the 64-bit draw `v`.
+    static constexpr double to_unit(std::uint64_t v) noexcept {
+        return static_cast<double>(v >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform double in [lo, hi).
     double uniform(double lo, double hi) noexcept;

@@ -623,9 +623,6 @@ void Connection::apply_instant_procedures() {
 }
 
 void Connection::schedule_next_event() {
-    // Deliberately unspanned (link.conn.process_frame and link.csa*.hop carry
-    // the connection profile): this runs once per connection event and its
-    // time reads naturally as the enclosing dispatch's self-time.
     // Connection update: the event at `instant` is reached through a transmit
     // window (paper Fig. 2), like connection setup.
     const Duration old_interval = config_.params.interval();

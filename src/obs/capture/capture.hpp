@@ -5,7 +5,7 @@
 // event stream (TxStart/RxDecision on the per-world EventBus) into the same
 // industry formats so a simulated hijack is inspectable in Wireshark.
 //
-// Formats (DESIGN.md §14):
+// Formats (DESIGN.md §13):
 //  * PCAP, nanosecond magic 0xA1B23C4D, linktype 256
 //    (DLT_BLUETOOTH_LE_LL_WITH_PHDR): each packet is a 10-byte pseudo-header
 //    followed by the on-air frame (AA + PDU + CRC, unwhitened).

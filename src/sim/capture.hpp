@@ -13,7 +13,10 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+
+#include "common/rng.hpp"
 
 namespace ble::sim {
 
@@ -35,6 +38,12 @@ public:
     /// A noise-only byte decision may skip the probability when the byte's
     /// uniform is at least this bound (see lazy_sir_floor_db).
     static constexpr double kLazyBound = 0x1.0p-10;
+    /// The same bound on the raw 64-bit draw: Rng::to_unit(v) < kLazyBound
+    /// exactly when v < kLazyDrawBound, since to_unit(v) is (v >> 11)·2⁻⁵³
+    /// with no rounding, so the lazy test needs no int-to-double conversion.
+    static constexpr std::uint64_t kLazyDrawBound = std::uint64_t{1} << 54;
+    static_assert(Rng::to_unit(kLazyDrawBound) == kLazyBound &&
+                  Rng::to_unit(kLazyDrawBound - 1) < kLazyBound);
 
     explicit CaptureModel(CaptureParams params = {}) noexcept;
 
@@ -59,19 +68,20 @@ private:
 };
 
 /// The noise-only byte decisions of one delivery: `u < byte_corruption_prob(
-/// sir_db, 0.5)` for each byte's uniform `u`.  The probability is evaluated
-/// at most once, and above the lazy floor only when some `u` falls below
-/// kLazyBound — every other `u` is at least the bound, hence at least the
-/// probability, so the decision is the same without it.
+/// sir_db, 0.5)` for each byte's uniform `u = Rng::to_unit(draw)`.  The
+/// probability is evaluated at most once, and above the lazy floor only when
+/// some `u` falls below kLazyBound — every other `u` is at least the bound,
+/// hence at least the probability, so the decision is the same without it.
 class NoiseOnlyDecision {
 public:
     NoiseOnlyDecision(const CaptureModel& model, double sir_db) noexcept
         : model_(model), sir_db_(sir_db), lazy_(sir_db >= model.lazy_sir_floor_db()) {}
 
-    [[nodiscard]] bool corrupts(double u) noexcept {
-        if (lazy_ && u >= CaptureModel::kLazyBound) return false;
+    /// The decision for the byte whose raw 64-bit draw is `draw`.
+    [[nodiscard]] bool corrupts(std::uint64_t draw) noexcept {
+        if (lazy_ && draw >= CaptureModel::kLazyDrawBound) return false;
         if (std::isnan(prob_)) prob_ = model_.byte_corruption_prob(sir_db_, 0.5);
-        return u < prob_;
+        return Rng::to_unit(draw) < prob_;
     }
 
 private:

@@ -258,8 +258,8 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
 
     // A byte no interferer overlaps sees the noise floor alone at the
     // neutral phase: the same probability for every such byte, evaluated
-    // at most once and, at a comfortable SIR, only if a uniform falls below
-    // CaptureModel::kLazyBound.  Each byte still draws its own uniform,
+    // at most once and, at a comfortable SIR, only if a draw falls below
+    // CaptureModel::kLazyDrawBound.  Each byte still draws its own uniform,
     // which keeps the RNG stream of the per-byte model.
     NoiseOnlyDecision noise_only(capture_, signal_dbm - noise_dbm_);
     // Consecutive overlapped bytes with the same interferers sum to the
@@ -272,6 +272,12 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
     bool corrupted = false;
     int corrupted_bytes = 0;
     int sync_bit_errors = 0;
+    // The byte loop draws from a local copy of rng_, written back after it.
+    // Nothing else can see the copy, so the xoshiro state stays in
+    // registers.  Drawn from the member, it went back to memory on every
+    // byte: the loop's out-of-line calls (the capture probability, the pool)
+    // could read it through `this`, and a byte store into `copy` may alias it.
+    Rng rng = rng_;
     for (std::size_t i = 0; i < sent.size(); ++i) {
         bool corrupt_byte;
         bool overlapped = false;
@@ -284,7 +290,7 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
             for (const auto& intf : interferers) {
                 if (intf.tx->start < byte_end && intf.tx->end > byte_start) {
                     interference_mw += intf.power_mw;
-                    phase = rng_.next_double();  // per-byte carrier-phase lottery
+                    phase = rng.next_double();  // per-byte carrier-phase lottery
                     overlapped = true;
                 }
             }
@@ -295,19 +301,20 @@ void RadioMedium::deliver(Transmission& tx, RadioDevice& receiver) {
                 run_interference_dbm = mw_to_dbm(interference_mw);
             }
             const double sir_db = signal_dbm - run_interference_dbm;
-            corrupt_byte = rng_.next_double() < capture_.byte_corruption_prob(sir_db, phase);
+            corrupt_byte = rng.next_double() < capture_.byte_corruption_prob(sir_db, phase);
         } else {
-            corrupt_byte = noise_only.corrupts(rng_.next_double());
+            corrupt_byte = noise_only.corrupts(rng.next_u64());
         }
         if (corrupt_byte) {
             if (!corrupted) copy = pool_.acquire_copy(sent);
             // Flip a random bit: the CRC then fails naturally downstream.
-            copy[i] ^= static_cast<std::uint8_t>(1u << rng_.next_below(8));
+            copy[i] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
             corrupted = true;
             ++corrupted_bytes;
             if (i < tx.frame.sync_bytes) ++sync_bit_errors;
         }
     }
+    rng_ = rng;
 
     receiver.listen_state_.locked_tx = 0;  // receiver returns to idle listening
 

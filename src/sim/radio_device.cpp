@@ -18,9 +18,4 @@ std::uint64_t RadioDevice::transmit(Channel channel, AirFrame frame) {
     return medium_.transmit(*this, channel, std::move(frame));
 }
 
-EventId RadioDevice::schedule_local(Duration local_delay, EventCallback fn) {
-    const Duration global_delay = sleep_clock_.to_global(local_delay);
-    return scheduler_.schedule_after(global_delay, std::move(fn));
-}
-
 }  // namespace ble::sim

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -59,7 +60,11 @@ public:
     /// Schedule on this device's *local* clock: the real delay is `local_delay`
     /// distorted by the sleep clock's current drift. This is how every LL
     /// timer (connection events, transmit windows) is armed.
-    EventId schedule_local(Duration local_delay, EventCallback fn);
+    template <typename F>
+    EventId schedule_local(Duration local_delay, F&& fn) {
+        return scheduler_.schedule_after(sleep_clock_.to_global(local_delay),
+                                         std::forward<F>(fn));
+    }
 
 private:
     friend class RadioMedium;

@@ -1,15 +1,18 @@
 #include "sim/scheduler.hpp"
 
-#include <utility>
-
 namespace ble::sim {
 
 Scheduler::~Scheduler() {
-    for (Bucket& bucket : buckets_) {
-        for (EventNode* node = bucket.head; node != nullptr;) {
-            EventNode* next = node->next;
-            destroy(node);
-            node = next;
+    // Only occupied buckets hold callbacks to destroy: walk the bitmap.
+    for (std::size_t word = 0; word < occupancy_.size(); ++word) {
+        for (std::uint64_t bits = occupancy_[word]; bits != 0; bits &= bits - 1) {
+            const std::size_t slot =
+                (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+            for (EventNode* node = buckets_[slot].head; node != nullptr;) {
+                EventNode* next = node->next;
+                destroy(node);
+                node = next;
+            }
         }
     }
 }
@@ -54,13 +57,19 @@ void Scheduler::unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexce
     if (bucket.head == nullptr) mark_empty(slot);
 }
 
-EventId Scheduler::schedule_at(TimePoint t, EventCallback fn) {
+EventId Scheduler::enqueue(EventNode* node, TimePoint t) {
     if (t < now_) t = now_;
-    const std::uint32_t handle = acquire_handle();
+    std::uint32_t handle = 0;
+    try {
+        handle = acquire_handle();
+    } catch (...) {
+        destroy(node);
+        throw;
+    }
     const std::size_t slot = static_cast<std::size_t>(window_of(t)) & kBucketMask;
     Bucket& bucket = buckets_[slot];
-    auto* node = new (pool_.allocate(sizeof(EventNode)))
-        EventNode{Key{t, next_seq_++}, nullptr, nullptr, handle, std::move(fn)};
+    node->key = Key{t, next_seq_++};
+    node->handle = handle;
     handles_[handle].node = node;
     ++live_;
     // Sequences are monotonic and simulations schedule forward, so the new key
@@ -146,16 +155,20 @@ bool Scheduler::find_next(std::int64_t& window, Bucket** bucket) noexcept {
 void Scheduler::fire(Bucket& bucket) {
     EventNode* node = bucket.head;
     const TimePoint t = node->key.t;
-    // The callback is moved out before the node dies so an event
-    // rescheduling itself (or churning the arena) can never touch the
-    // running functor.
-    EventCallback fn = std::move(node->fn);
     unlink(bucket, node, static_cast<std::size_t>(window_of(t)) & kBucketMask);
     release_handle(node->handle);
-    destroy(node);
     now_ = t;
     cursor_ = window_of(now_);
-    fn();
+    // The callback runs in place.  Its node is on no list and its id is
+    // stale, so nothing the callback does to the queue can reach it, and
+    // arena chunks never move; the node goes back to the arena afterwards,
+    // also when the callback throws.
+    struct Reclaim {
+        Scheduler& scheduler;
+        EventNode* node;
+        ~Reclaim() { scheduler.destroy(node); }
+    } reclaim{*this, node};
+    node->fn();
 }
 
 bool Scheduler::run_one() {

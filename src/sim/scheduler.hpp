@@ -14,6 +14,11 @@
 // Callbacks live inside the node (InlineFunction, 64 bytes inline), and an
 // EventId names a slot of a generation-indexed handle table, so neither
 // scheduling nor cancelling touches the allocator once the world is warm.
+// schedule_at constructs the caller's callable directly in its node, and
+// firing calls it there: the node is unlinked and its handle released
+// first, so the callback may cancel its own id (a no-op), reschedule itself
+// or grow the arena (chunks never move), and the node returns to the arena
+// once the call ends, also when it throws.
 #pragma once
 
 #include <array>
@@ -22,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/inline_function.hpp"
@@ -112,9 +118,21 @@ public:
     /// Schedules `fn` at absolute time `t` (clamped to `now()` if in the past).
     /// The returned EventId is the only way to cancel the event; discarding it
     /// (fire-and-forget) needs an audited allow(D4) lint suppression.
-    [[nodiscard]] EventId schedule_at(TimePoint t, EventCallback fn);
-    [[nodiscard]] EventId schedule_after(Duration d, EventCallback fn) {
-        return schedule_at(now_ + d, std::move(fn));
+    template <typename F>
+    [[nodiscard]] EventId schedule_at(TimePoint t, F&& fn) {
+        void* slot = pool_.allocate(sizeof(EventNode));
+        EventNode* node = nullptr;
+        try {
+            node = ::new (slot) EventNode(std::forward<F>(fn));
+        } catch (...) {
+            pool_.deallocate(slot, sizeof(EventNode));
+            throw;
+        }
+        return enqueue(node, t);
+    }
+    template <typename F>
+    [[nodiscard]] EventId schedule_after(Duration d, F&& fn) {
+        return schedule_at(now_ + d, std::forward<F>(fn));
     }
 
     /// Cancels a pending event. Cancelling an already-fired, already-cancelled
@@ -165,7 +183,10 @@ private:
     /// One pending event, arena-allocated, linked into its bucket's sorted
     /// list.  Fixed-size by design: the arena recycles slots in place.
     struct EventNode {
-        Key key;
+        template <typename F>
+        explicit EventNode(F&& f) : fn(std::forward<F>(f)) {}
+
+        Key key{};
         EventNode* prev = nullptr;
         EventNode* next = nullptr;
         std::uint32_t handle = 0;  ///< index into handles_
@@ -206,6 +227,9 @@ private:
         occupancy_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
     }
 
+    /// Keys `node` (its callback already built) at `t`, gives it a handle
+    /// and links it into its bucket; destroys it if no handle can be had.
+    EventId enqueue(EventNode* node, TimePoint t);
     void fire(Bucket& bucket);
     void unlink(Bucket& bucket, EventNode* node, std::size_t slot) noexcept;
     void destroy(EventNode* node) noexcept;

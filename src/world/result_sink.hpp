@@ -60,7 +60,7 @@ enum class ArtifactKind : std::uint8_t {
     kChromeTimeline = 1,  ///< channel-occupancy Chrome trace-event JSON
     // 2 is unused: the values are fixed because artifact digests fold the
     // kind in.
-    kPcapCapture = 3,     ///< omniscient link-layer PCAP (DESIGN.md §14)
+    kPcapCapture = 3,     ///< omniscient link-layer PCAP (DESIGN.md §13)
 };
 
 /// One per-trial by-product, carried as bytes so any transport can move it.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -61,16 +62,19 @@ TEST(CaptureModelTest, PhaseQualityClamped) {
                 model.byte_corruption_prob(0.0, 0.0), 1e-9);
 }
 
-/// Uniforms at and around the lazy bound, around `prob`, and far from both.
-std::vector<double> straddling_uniforms(double prob) {
-    const double b = CaptureModel::kLazyBound;
-    std::vector<double> u = {0.0,  1e-300, b / 4, b / 2, std::nextafter(b, 0.0), b,
-                             std::nextafter(b, 1.0), 2 * b, 0.25,  0.5,
-                             std::nextafter(1.0, 0.0)};
+/// Raw draws at and around the lazy bound, around `prob`, and far from both.
+std::vector<std::uint64_t> straddling_draws(double prob) {
+    constexpr std::uint64_t b = CaptureModel::kLazyDrawBound;
+    constexpr std::uint64_t step = std::uint64_t{1} << 11;  // one to_unit step
+    std::vector<std::uint64_t> draws = {0,        1,     step,  b / 4, b / 2,
+                                        b - step, b - 1, b,     b + 1, b + step,
+                                        2 * b,    std::uint64_t{1} << 63, ~std::uint64_t{0}};
     if (prob > 0.0 && prob < 1.0) {
-        u.insert(u.end(), {std::nextafter(prob, 0.0), prob, std::nextafter(prob, 1.0)});
+        // The draw whose uniform is the largest not above `prob`.
+        const std::uint64_t at = static_cast<std::uint64_t>(std::ldexp(prob, 53)) << 11;
+        draws.insert(draws.end(), {at - step, at, at + step});
     }
-    return u;
+    return draws;
 }
 
 /// Checks NoiseOnlyDecision against the eager `u < p` over an SIR grid,
@@ -79,12 +83,13 @@ void expect_lazy_matches_eager(const CaptureModel& model) {
     int decisions = 0;
     for (double sir = -60.0; sir <= 120.0; sir += 0.125) {
         const double prob = model.byte_corruption_prob(sir, 0.5);
-        const std::vector<double> uniforms = straddling_uniforms(prob);
+        const std::vector<std::uint64_t> draws = straddling_draws(prob);
         NoiseOnlyDecision per_delivery(model, sir);
-        for (const double u : uniforms) {
+        for (const std::uint64_t draw : draws) {
+            const bool eager = Rng::to_unit(draw) < prob;
             NoiseOnlyDecision fresh(model, sir);
-            ASSERT_EQ(fresh.corrupts(u), u < prob) << "SIR " << sir << " u " << u;
-            ASSERT_EQ(per_delivery.corrupts(u), u < prob) << "SIR " << sir << " u " << u;
+            ASSERT_EQ(fresh.corrupts(draw), eager) << "SIR " << sir << " draw " << draw;
+            ASSERT_EQ(per_delivery.corrupts(draw), eager) << "SIR " << sir << " draw " << draw;
             ++decisions;
         }
     }

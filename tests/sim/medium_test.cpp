@@ -1013,6 +1013,125 @@ TEST_F(MediumFixture, PairLossFollowsSetPositionAndAddWall) {
     EXPECT_DOUBLE_EQ(hear(), at_two);
 }
 
+// --- the byte loop's draw stream, pinned ---
+
+/// One RxDecision of the pinned-stream scenario.
+struct PinnedDecision {
+    char kind;  ///< 'L' lazy noise-only, 'N' non-lazy noise-only, 'O' overlapped
+    int corrupted_bytes;
+    int sync_bit_errors;
+    double rssi_dbm;
+};
+
+/// Rounds of three deliveries on one medium, each with its own fading draw:
+/// a receiver 2 m away (noise-only SIR above the lazy floor), a receiver at
+/// the edge of range (noise-only SIR below it), and the near receiver again
+/// with a strong interferer overlapping part of its frame (the sync word in
+/// odd rounds).  Every delivery's
+/// RSSI comes from the medium's stream right after the previous delivery's
+/// byte draws, so a change in their number or order shows in the next RSSI.
+std::vector<PinnedDecision> run_pinned_stream() {
+    Scheduler scheduler;
+    PathLossParams pl;
+    pl.fading_sigma_db = 3.0;
+    RadioMedium medium(scheduler, Rng(4242), PathLossModel(pl), CaptureModel{}, MediumParams{});
+    std::vector<PinnedDecision> log;
+    char kind = '?';
+    const auto token = medium.bus().subscribe([&](const obs::Event& event) {
+        if (const auto* d = std::get_if<obs::RxDecision>(&event)) {
+            log.push_back({kind, d->corrupted_bytes, d->sync_bit_errors, d->rssi_dbm});
+        }
+    });
+    auto mk = [&](const std::string& name, Position pos, std::uint64_t seed) {
+        RadioDeviceConfig cfg;
+        cfg.name = name;
+        cfg.position = pos;
+        return std::make_unique<ProbeDevice>(scheduler, medium, Rng(seed), cfg);
+    };
+    auto tx = mk("tx", {0, 0}, 1);
+    auto near = mk("near", {2, 0}, 2);   // ≈-46.6 dBm: SIR ≈53 dB
+    auto far = mk("far", {180, 0}, 3);   // ≈-89.6 dBm: SIR ≈10 dB
+    auto jam = mk("jam", {2, 1}, 4);     // ≈-40 dBm at near
+    for (int round = 0; round < 6; ++round) {
+        kind = 'L';
+        near->listen(5);
+        tx->transmit(5, test_frame(64, static_cast<std::uint8_t>(round)));
+        scheduler.run_all();
+        near->stop_listening();
+        kind = 'N';
+        far->listen(5);
+        tx->transmit(5, test_frame(64, static_cast<std::uint8_t>(round)));
+        scheduler.run_all();
+        far->stop_listening();
+        kind = 'O';
+        near->listen(5);
+        tx->transmit(5, test_frame(64, static_cast<std::uint8_t>(round)));
+        // Odd rounds overlap the sync word, even ones the middle bytes.
+        const Duration jam_at = round % 2 == 0 ? 200_us : 1_us;
+        (void)scheduler.schedule_after(jam_at, [&] { jam->transmit(5, test_frame(16, 0xC3)); });
+        scheduler.run_all();
+        near->stop_listening();
+    }
+    medium.bus().unsubscribe(token);
+    return log;
+}
+
+TEST(MediumPinnedStream, DecisionsMatchGolden) {
+    // Golden recorded on the tree whose byte loop drew from the medium's
+    // member stream and tested the lazy bound on the uniform: drawing from
+    // a local copy and testing the raw draw must keep every decision.
+    const std::vector<PinnedDecision> expected = {
+        {'L', 0, 0, -0x1.84710c02f093fp+5},
+        {'N', 2, 0, -0x1.645b1a2aa2c02p+6},
+        {'O', 6, 0, -0x1.7536b9da7b8a2p+5},
+        {'L', 0, 0, -0x1.59ee7c8d0f309p+5},
+        {'N', 2, 0, -0x1.6b8c30030c87bp+6},
+        {'O', 7, 2, -0x1.7c26e03e7e9c3p+5},
+        {'L', 0, 0, -0x1.7ab053793fb03p+5},
+        {'O', 0, 0, -0x1.6ef56a6c696a1p+5},
+        {'L', 0, 0, -0x1.9dc5c05b46a1ep+5},
+        {'N', 0, 0, -0x1.6bff9fe1e1ed2p+6},
+        {'O', 9, 2, -0x1.7b0f3a1743636p+5},
+        {'L', 0, 0, -0x1.91d3598384547p+5},
+        {'N', 1, 0, -0x1.7772410f31fbbp+6},
+        {'O', 4, 0, -0x1.739b48fbb7912p+5},
+        {'L', 0, 0, -0x1.6b4ba43e68ce6p+5},
+        {'N', 1, 0, -0x1.598679d80323cp+6},
+        {'O', 2, 0, -0x1.680d56ee6d1d6p+5},
+    };
+    const std::vector<PinnedDecision> log = run_pinned_stream();
+    ASSERT_EQ(log.size(), expected.size());
+    const double floor = CaptureModel{}.lazy_sir_floor_db();
+    const double noise_dbm = MediumParams{}.noise_floor_dbm;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        SCOPED_TRACE("decision " + std::to_string(i));
+        EXPECT_EQ(log[i].kind, expected[i].kind);
+        EXPECT_EQ(log[i].corrupted_bytes, expected[i].corrupted_bytes);
+        EXPECT_EQ(log[i].sync_bit_errors, expected[i].sync_bit_errors);
+        EXPECT_EQ(log[i].rssi_dbm, expected[i].rssi_dbm);  // bit-exact
+        // Each kind takes the path it is named for.
+        if (log[i].kind == 'N') {
+            EXPECT_LT(log[i].rssi_dbm - noise_dbm, floor);
+        } else {
+            EXPECT_GE(log[i].rssi_dbm - noise_dbm, floor);
+        }
+    }
+}
+
+TEST(MediumPinnedStream, LazyDrawBoundIsTheUniformBound) {
+    // The byte loop tests `draw < kLazyDrawBound` where the model states
+    // `to_unit(draw) < kLazyBound`; the two must agree on every draw.
+    constexpr std::uint64_t bound = std::uint64_t{1} << 54;
+    static_assert(CaptureModel::kLazyDrawBound == bound);
+    std::vector<std::uint64_t> draws = {0, 1, ~std::uint64_t{0}, ~std::uint64_t{0} - 1};
+    for (std::uint64_t v = bound - 8192; v <= bound + 8192; ++v) draws.push_back(v);
+    for (const std::uint64_t v : draws) {
+        const double uniform = static_cast<double>(v >> 11) * 0x1p-53;
+        ASSERT_EQ(v < bound, uniform < CaptureModel::kLazyBound) << "draw " << v;
+        ASSERT_EQ(Rng::to_unit(v), uniform) << "draw " << v;
+    }
+}
+
 }  // namespace
 
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -297,6 +298,116 @@ TEST(SchedulerTest, SparseFarFutureEventReachedWithoutFullDrain) {
     s.run_until(far);
     EXPECT_TRUE(fired);
     EXPECT_EQ(s.now(), far);
+}
+
+// --- callbacks run in place inside their node ---
+
+TEST(SchedulerInPlaceTest, CallbackCancellingItsOwnIdIsNoop) {
+    // The running event's id is already stale: cancelling it does nothing,
+    // even after a new event took over its handle slot, and the callback's
+    // captures stay intact for the rest of the call.
+    Scheduler s;
+    EventId self = kInvalidEvent;
+    std::vector<int> order;
+    self = s.schedule_at(10, [&s, &self, &order, tag = 7] {
+        const EventId next = s.schedule_at(20, [&order] { order.push_back(2); });
+        EXPECT_EQ(next & 0xFFFFFFFFu, self & 0xFFFFFFFFu);  // same slot, new generation
+        s.cancel(self);
+        s.cancel(self);
+        EXPECT_EQ(s.pending(), 1u);
+        order.push_back(tag);
+    });
+    s.run_all();
+    EXPECT_EQ(order, (std::vector<int>{7, 2}));
+    EXPECT_TRUE(s.empty());
+}
+
+/// Reschedules a copy of itself every 10 ns until it has run `limit` times.
+struct SelfRescheduling {
+    Scheduler* scheduler;
+    std::vector<TimePoint>* times;
+    int limit;
+    void operator()() const {
+        times->push_back(scheduler->now());
+        if (static_cast<int>(times->size()) < limit) (void)scheduler->schedule_after(10, *this);
+    }
+};
+
+TEST(SchedulerInPlaceTest, CallbackReschedulingItselfRunsEachCopyOnce) {
+    Scheduler s;
+    std::vector<TimePoint> times;
+    (void)s.schedule_at(5, SelfRescheduling{&s, &times, 1000});
+    EXPECT_EQ(s.run_all(), 1000u);
+    ASSERT_EQ(times.size(), 1000u);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        ASSERT_EQ(times[i], 5 + 10 * static_cast<TimePoint>(i));
+    }
+    // One live event at a time: the two slots alternate, one chunk suffices.
+    EXPECT_EQ(s.pooled_nodes(), 64u);
+}
+
+TEST(SchedulerInPlaceTest, ArenaGrowsUnderTheRunningCallback) {
+    // The first chunk holds 64 nodes; a callback scheduling 150 more grows
+    // the arena twice while its own node is live.  Chunks never move, so
+    // the captures it reads afterwards are still its own.
+    Scheduler s;
+    std::vector<int> order;
+    const std::array<int, 6> marks{11, 22, 33, 44, 55, 66};
+    (void)s.schedule_at(1, [&s, &order, marks] {
+        for (int i = 0; i < 150; ++i) {
+            (void)s.schedule_at(100 + i, [&order, i] { order.push_back(i); });
+        }
+        EXPECT_EQ(s.pending(), 150u);
+        EXPECT_EQ(marks, (std::array<int, 6>{11, 22, 33, 44, 55, 66}));
+        order.push_back(-1);
+    });
+    s.run_all();
+    ASSERT_EQ(order.size(), 151u);
+    EXPECT_EQ(order.front(), -1);
+    for (int i = 0; i < 150; ++i) ASSERT_EQ(order[static_cast<std::size_t>(i) + 1], i);
+    EXPECT_EQ(s.pooled_nodes(), 192u);  // three chunks, every slot back
+}
+
+TEST(SchedulerInPlaceTest, ThrowingCallbackReturnsItsNode) {
+    Scheduler s;
+    auto token = std::make_shared<int>(0);
+    int later = 0;
+    (void)s.schedule_at(10, [token] { throw std::runtime_error("callback failed"); });
+    (void)s.schedule_at(20, [&later] { ++later; });
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(s.pooled_nodes(), 62u);
+    EXPECT_THROW(s.run_one(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1);  // the callback was destroyed
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_EQ(s.storage_entries(), 1u);
+    EXPECT_EQ(s.pooled_nodes(), 63u);
+    EXPECT_EQ(s.now(), 10);
+    s.run_all();
+    EXPECT_EQ(later, 1);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(s.pooled_nodes(), 64u);
+}
+
+TEST(SchedulerInPlaceTest, DestructorDestroysEveryPendingCallback) {
+    // Pending events in scattered buckets — both ends of the ring, either
+    // side of a bitmap word boundary, a bucket holding two laps — are all
+    // destroyed with the scheduler, and cancelled or fired ones only once.
+    auto token = std::make_shared<int>(0);
+    {
+        Scheduler s;
+        const TimePoint width = TimePoint{1} << 20;
+        const TimePoint lap = 256 * width;
+        for (const TimePoint t : {TimePoint{5}, 3 * width, 63 * width, 64 * width + 9,
+                                  130 * width, 255 * width, lap + 3 * width, 5 * lap}) {
+            (void)s.schedule_at(t, [token] {});
+        }
+        const EventId cancelled = s.schedule_at(200 * width, [token] {});
+        s.cancel(cancelled);
+        EXPECT_TRUE(s.run_one());  // the event at 5 ns
+        EXPECT_EQ(s.pending(), 7u);
+        EXPECT_EQ(token.use_count(), 8);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
